@@ -1,19 +1,20 @@
-(** The x64lite CPU interpreter and threaded-code block runner.
+(** The x64lite CPU: single-instruction stepping and the threaded-code
+    block runner.
 
     A [t] is one task's register context; [step] executes a single
     instruction against a {!Sim_mem.Mem.t} and reports what happened.
     The kernel owns the run loop, cycle accounting and trap handling.
-    The register context itself (and every helper the {!Icache} block
-    compiler shares with the interpreter) lives in {!Ctx} and is
-    re-exported here, so the rest of the tree keeps addressing it as
-    [Cpu.t].
+    The register context itself lives in {!Ctx} and is re-exported
+    here, so the rest of the tree keeps addressing it as [Cpu.t] and
+    the outcomes as [Cpu.Stepped] and friends.  What an instruction
+    does is defined once, by {!Icache.compile_op}; both paths below
+    only run its ops.
 
     Register-access hooks feed the Pin-style dynamic analysis
     (Section IV-B of the paper): every architectural register read and
-    write can be observed without perturbing execution.  The block
-    engine is bypassed whenever a hook is installed — its closures use
-    direct register accesses — so the analyses always observe the
-    interpreter's exact event stream. *)
+    write can be observed without perturbing execution.  The kernel
+    single-steps a hooked task (it never enters a block), so the
+    analyses observe every instruction boundary. *)
 
 open Sim_isa
 open Sim_mem
@@ -21,321 +22,58 @@ include Ctx
 
 (** {1 Stepping} *)
 
-type outcome =
-  | Stepped
-  | Trap_syscall  (** [rip] already points past the syscall instruction *)
-  | Trap_hypercall of int
-  | Trap_breakpoint
-  | Halted
-  | Fault of int * Mem.access  (** [rip] still at the faulting instruction *)
-  | Fault_arith  (** division by zero *)
-  | Bad_instr of int  (** undecodable opcode at [rip] *)
+(** Execute the one instruction at [rip], given what
+    {!Icache.lookup} returned for it: the entry's op, or — for [Miss]
+    (and a [Block], which this never enters) — a fresh decode through
+    the permission-checked byte fetch, compiled and run.  Never raises:
+    memory faults and decode errors are reported as outcomes; a fault
+    in the fetch leaves [last_cost] untouched. *)
+let step_hit (c : t) (mem : Mem.t) (hit : Icache.hit) : outcome =
+  incr retired;
+  try
+    match hit with
+    | Icache.Entry e -> e.Icache.op c mem
+    | Icache.Miss | Icache.Block _ ->
+        let instr, len = Decode.decode (fun i -> Mem.fetch_u8 mem (c.rip + i)) in
+        Icache.compile_op instr (c.rip + len) c mem
+  with
+  | Mem.Fault (a, acc) -> Fault (a, acc)
+  | Exit -> Fault_arith
+  | Decode.Invalid _ -> Bad_instr c.rip
 
-(** Execute one already-decoded instruction whose encoding ends at
-    [next].  The back end of the pipeline: cycle accounting and the
-    register-access hooks fire here exactly as they always did, so the
-    Pin analyses cannot tell a cached decode from a fresh one. *)
-let exec (c : t) (mem : Mem.t) (instr : Isa.instr) (next : int) : outcome =
-  account c instr;
-  (
-      try
-        match instr with
-        | Isa.Nop | Isa.Nopw _ ->
-            c.rip <- next;
-            Stepped
-        | Isa.Ret ->
-            c.rip <- Int64.to_int (pop c mem);
-            Stepped
-        | Isa.Hlt -> Halted
-        | Isa.Int3 ->
-            c.rip <- next;
-            Trap_breakpoint
-        | Isa.Syscall ->
-            c.rip <- next;
-            Trap_syscall
-        | Isa.Hypercall n ->
-            c.rip <- next;
-            Trap_hypercall n
-        | Isa.Rdtsc ->
-            set_reg c Isa.rax (c.now ());
-            c.rip <- next;
-            Stepped
-        | Isa.Wrpkru r ->
-            c.pkru <- Int64.to_int (get_reg c r) land 0xFFFF;
-            c.rip <- next;
-            Stepped
-        | Isa.Rdpkru r ->
-            set_reg c r (Int64.of_int c.pkru);
-            c.rip <- next;
-            Stepped
-        | Isa.Call_reg r ->
-            let tgt = get_reg c r in
-            push c mem (Int64.of_int next);
-            c.rip <- Int64.to_int tgt;
-            Stepped
-        | Isa.Jmp_reg r ->
-            c.rip <- Int64.to_int (get_reg c r);
-            Stepped
-        | Isa.Push r ->
-            push c mem (get_reg c r);
-            c.rip <- next;
-            Stepped
-        | Isa.Pop r ->
-            set_reg c r (pop c mem);
-            c.rip <- next;
-            Stepped
-        | Isa.Mov_rr (d, s) ->
-            set_reg c d (get_reg c s);
-            c.rip <- next;
-            Stepped
-        | Isa.Mov_ri (r, v) ->
-            set_reg c r v;
-            c.rip <- next;
-            Stepped
-        | Isa.Mov_ri32 (r, v) ->
-            set_reg c r (Int64.of_int32 v);
-            c.rip <- next;
-            Stepped
-        | Isa.Load (seg, d, b, disp) ->
-            set_reg c d (Mem.read_u64 mem (ea c seg b disp));
-            c.rip <- next;
-            Stepped
-        | Isa.Store (seg, b, disp, s) ->
-            let a = ea c seg b disp in
-            wcheck c mem a;
-            Mem.write_u64 mem a (get_reg c s);
-            c.rip <- next;
-            Stepped
-        | Isa.Load8 (seg, d, b, disp) ->
-            set_reg c d (Int64.of_int (Mem.read_u8 mem (ea c seg b disp)));
-            c.rip <- next;
-            Stepped
-        | Isa.Store8 (seg, b, disp, s) ->
-            let a = ea c seg b disp in
-            wcheck c mem a;
-            Mem.write_u8 mem a (Int64.to_int (get_reg c s) land 0xFF);
-            c.rip <- next;
-            Stepped
-        | Isa.Lea (d, b, disp) ->
-            set_reg c d (Int64.of_int (ea c Isa.Seg_none b disp));
-            c.rip <- next;
-            Stepped
-        | Isa.Alu_rr (op, d, s) ->
-            let a = get_reg c d and b = get_reg c s in
-            (match op with
-            | Isa.Cmp ->
-                c.zf <- Int64.equal a b;
-                c.sf <- Int64.compare a b < 0;
-                c.cf <- Int64.unsigned_compare a b < 0
-            | Isa.Div | Isa.Rem ->
-                if Int64.equal b 0L then raise Exit
-                else
-                  let v =
-                    if op = Isa.Div then Int64.div a b else Int64.rem a b
-                  in
-                  set_reg c d v;
-                  flags_of_result c v
-            | _ ->
-                let v =
-                  match op with
-                  | Isa.Add -> Int64.add a b
-                  | Isa.Sub -> Int64.sub a b
-                  | Isa.And -> Int64.logand a b
-                  | Isa.Or -> Int64.logor a b
-                  | Isa.Xor -> Int64.logxor a b
-                  | Isa.Mul -> Int64.mul a b
-                  | Isa.Cmp | Isa.Div | Isa.Rem -> assert false
-                in
-                set_reg c d v;
-                flags_of_result c v);
-            c.rip <- next;
-            Stepped
-        | Isa.Alu_ri (op, r, imm) ->
-            let a = get_reg c r and b = Int64.of_int32 imm in
-            (match op with
-            | Isa.Cmp ->
-                c.zf <- Int64.equal a b;
-                c.sf <- Int64.compare a b < 0;
-                c.cf <- Int64.unsigned_compare a b < 0
-            | _ ->
-                let v =
-                  match op with
-                  | Isa.Add -> Int64.add a b
-                  | Isa.Sub -> Int64.sub a b
-                  | Isa.And -> Int64.logand a b
-                  | Isa.Or -> Int64.logor a b
-                  | Isa.Xor -> Int64.logxor a b
-                  | Isa.Cmp | Isa.Mul | Isa.Div | Isa.Rem -> assert false
-                in
-                set_reg c r v;
-                flags_of_result c v);
-            c.rip <- next;
-            Stepped
-        | Isa.Shift (op, r, n) ->
-            let a = get_reg c r in
-            let v =
-              match op with
-              | Isa.Shl -> Int64.shift_left a n
-              | Isa.Shr -> Int64.shift_right_logical a n
-              | Isa.Sar -> Int64.shift_right a n
-            in
-            set_reg c r v;
-            flags_of_result c v;
-            c.rip <- next;
-            Stepped
-        | Isa.Jmp rel ->
-            c.rip <- next + Int32.to_int rel;
-            Stepped
-        | Isa.Jcc (cond, rel) ->
-            c.rip <- (if cond_holds c cond then next + Int32.to_int rel else next);
-            Stepped
-        | Isa.Call rel ->
-            push c mem (Int64.of_int next);
-            c.rip <- next + Int32.to_int rel;
-            Stepped
-        | Isa.Setcc (cond, r) ->
-            set_reg c r (if cond_holds c cond then 1L else 0L);
-            c.rip <- next;
-            Stepped
-        | Isa.Movq_xr (x, r) ->
-            let v = get_reg c r in
-            fire c (Xmm_write x);
-            c.x.xmm_lo.(x) <- v;
-            c.x.xmm_hi.(x) <- 0L;
-            c.rip <- next;
-            Stepped
-        | Isa.Movq_rx (r, x) ->
-            fire c (Xmm_read x);
-            set_reg c r c.x.xmm_lo.(x);
-            c.rip <- next;
-            Stepped
-        | Isa.Movups_load (seg, x, b, disp) ->
-            let a = ea c seg b disp in
-            let lo = Mem.read_u64 mem a and hi = Mem.read_u64 mem (a + 8) in
-            fire c (Xmm_write x);
-            c.x.xmm_lo.(x) <- lo;
-            c.x.xmm_hi.(x) <- hi;
-            c.rip <- next;
-            Stepped
-        | Isa.Movups_store (seg, b, disp, x) ->
-            let a = ea c seg b disp in
-            wcheck c mem a;
-            fire c (Xmm_read x);
-            Mem.write_u64 mem a c.x.xmm_lo.(x);
-            Mem.write_u64 mem (a + 8) c.x.xmm_hi.(x);
-            c.rip <- next;
-            Stepped
-        | Isa.Punpcklqdq (d, s) ->
-            fire c (Xmm_read s);
-            fire c (Xmm_write d);
-            c.x.xmm_hi.(d) <- c.x.xmm_lo.(s);
-            c.rip <- next;
-            Stepped
-        | Isa.Pxor (d, s) ->
-            fire c (Xmm_read s);
-            fire c (Xmm_write d);
-            if d = s then (
-              c.x.xmm_lo.(d) <- 0L;
-              c.x.xmm_hi.(d) <- 0L)
-            else (
-              c.x.xmm_lo.(d) <- Int64.logxor c.x.xmm_lo.(d) c.x.xmm_lo.(s);
-              c.x.xmm_hi.(d) <- Int64.logxor c.x.xmm_hi.(d) c.x.xmm_hi.(s));
-            c.rip <- next;
-            Stepped
-        | Isa.Fld1 ->
-            x87_push c (Int64.bits_of_float 1.0);
-            c.rip <- next;
-            Stepped
-        | Isa.Fldz ->
-            x87_push c (Int64.bits_of_float 0.0);
-            c.rip <- next;
-            Stepped
-        | Isa.Faddp ->
-            let a = Int64.float_of_bits (x87_pop c) in
-            if c.x.st_sp > 0 then (
-              fire c X87_read;
-              fire c X87_write;
-              c.x.st.(c.x.st_sp - 1) <-
-                Int64.bits_of_float
-                  (a +. Int64.float_of_bits c.x.st.(c.x.st_sp - 1)));
-            c.rip <- next;
-            Stepped
-        | Isa.Fstp (seg, b, disp) ->
-            let v = x87_pop c in
-            let a = ea c seg b disp in
-            wcheck c mem a;
-            Mem.write_u64 mem a v;
-            c.rip <- next;
-            Stepped
-      with
-      | Mem.Fault (a, acc) -> Fault (a, acc)
-      | Exit -> Fault_arith)
-
-(* The original front end: fetch bytes one at a time through the
-   permission-checked accessor and decode them.  Also the fallback for
-   everything the icache declines to cache (page-straddling
-   encodings, undecodable bytes, non-executable pages) — it reproduces
-   the architecturally correct fault in each case. *)
-let step_uncached (c : t) (mem : Mem.t) : outcome =
-  let fetch i = Mem.fetch_u8 mem (c.rip + i) in
-  match Decode.decode fetch with
-  | exception Mem.Fault (a, acc) -> Fault (a, acc)
-  | exception Decode.Invalid _ -> Bad_instr c.rip
-  | instr, len -> exec c mem instr (c.rip + len)
-
-(** Execute one instruction.  Never raises: memory faults and decode
-    errors are reported as outcomes.
-
-    With [icache], the fetch/decode front end is replaced by a lookup
-    in the page-versioned decoded-instruction cache; a hit skips the
-    per-byte fetch entirely.  Safe by construction: every mutation of
-    executable memory bumps the page generation the cache validates
+(** Execute one instruction.  With [icache], the op comes from the
+    page-versioned decoded-instruction cache; a hit skips the per-byte
+    fetch and decode entirely.  Safe by construction: every mutation
+    of executable memory bumps the page generation the cache validates
     against (see {!Icache}), so self-modifying code — lazypoline's
     lazy [syscall → call rax] rewrite, JIT emission — is observed on
-    the very next fetch of the patched address.  Execution semantics,
-    cycle accounting and register-access hooks are identical on both
-    paths. *)
+    the very next fetch of the patched address. *)
 let step ?icache (c : t) (mem : Mem.t) : outcome =
-  incr retired;
-  match icache with
-  | None -> step_uncached c mem
-  | Some ic -> (
-      match Icache.find ic mem c.rip with
-      | Some e -> exec c mem e.Icache.instr (c.rip + e.Icache.ilen)
-      | None -> step_uncached c mem)
+  step_hit c mem
+    (match icache with
+    | Some ic -> Icache.lookup ic mem c.rip ~blocks:false
+    | None -> Icache.Miss)
 
 (** {1 The block runner (enter-block / run-block / exit-block)}
 
-    The enter phase is the kernel's: it checks that the engine is
-    enabled and hook-free and asks {!Icache.lookup} for a block.  The
-    run phase is {!run_block} below.  The exit phase is again the
-    kernel's: charge any bulk-accumulated cycles and handle the
-    terminal outcome through the same per-outcome arms a single step
-    uses. *)
-
-(** Single-step a decode-cache entry the engine declined to run as a
-    block (cold, uncompilable, or excluded head instruction). *)
-let step_cached (c : t) (mem : Mem.t) (e : Icache.entry) : outcome =
-  incr retired;
-  exec c mem e.Icache.instr (c.rip + e.Icache.ilen)
-
-(** Single-step through the uncached byte-at-a-time path (engine-mode
-    lookup missed: page seam, non-executable page, undecodable). *)
-let step_miss (c : t) (mem : Mem.t) : outcome =
-  incr retired;
-  step_uncached c mem
+    The enter phase is the kernel's: one {!Icache.lookup} with
+    [~blocks] set when the engine is enabled and the task is
+    hook-free.  The run phase is {!run_block} below.  The exit phase is
+    again the kernel's: charge any bulk-accumulated cycles and handle
+    the terminal outcome through the same per-outcome arms a single
+    step uses. *)
 
 (** Run compiled block [blk] from op index [idx0].
 
     [budget] is the number of [last_cost] units this run may {e
     start}: op [i] executes iff the units accumulated by its
-    predecessors are below it — exactly the interpreter's
+    predecessors are below it — exactly the single-step loop's
     [clk < slice_end] pre-check with the clock advance factored
     through the kernel's per-instruction cost multiplier.
 
     [per_op] (when set) is called with each op's [last_cost] units
     immediately after the op retires, with [rip] already advanced —
-    the same point the interpreter's charge fires, so an attached
+    the same point a single step's charge fires, so an attached
     profiler sees identical tick attribution.  When [None], units
     accumulate and are returned for one bulk charge (clock and
     task-cycle sums are identical; only a profiler could tell, and it
@@ -349,10 +87,10 @@ let step_miss (c : t) (mem : Mem.t) : outcome =
     The runner re-checks the code-mutation epoch after every op that
     can write memory: if the store moved the executing block's own
     page generation (mid-block SMC), the block stops at the next
-    boundary — the same point the interpreter's next fetch would
+    boundary — the same point the next single-step lookup would
     observe the new bytes.  Stores to other pages never invalidate
-    this block's closures and execution continues, matching the
-    interpreter's per-page revalidation.
+    this block's ops and execution continues, matching the
+    per-page revalidation of single steps.
 
     Returns the terminal outcome ([Stepped] for a completed or merely
     interrupted block; [Fault _]/[Fault_arith] from a raising op, with
@@ -394,7 +132,7 @@ let run_block (c : t) (mem : Mem.t) (blk : Icache.block) (idx0 : int)
      | None, None ->
          (* Fast path: no per-op observers; one bulk charge at exit. *)
          while (not !stop) && !i < n && !acc < budget do
-           (Array.unsafe_get ops !i) c mem;
+           ignore ((Array.unsafe_get ops !i) c mem);
            acc := !acc + c.last_cost;
            if Array.unsafe_get writes !i then begin
              let e = Mem.code_mut_count mem in
@@ -410,7 +148,7 @@ let run_block (c : t) (mem : Mem.t) (blk : Icache.block) (idx0 : int)
          done
      | _ ->
          while (not !stop) && !i < n && !acc < budget do
-           (Array.unsafe_get ops !i) c mem;
+           ignore ((Array.unsafe_get ops !i) c mem);
            let u = c.last_cost in
            acc := !acc + u;
            (match per_op with Some f -> f u | None -> ());
@@ -437,8 +175,8 @@ let run_block (c : t) (mem : Mem.t) (blk : Icache.block) (idx0 : int)
   | Mem.Fault (a, acc') -> outcome := Fault (a, acc')
   | Exit -> outcome := Fault_arith);
   (* [!i - idx0] ops completed (the fused path counts for itself); a
-     faulting op still counts as retired, matching the interpreter
-     (its [incr retired] precedes [exec]). *)
+     faulting op still counts as retired, matching {!step_hit}
+     (its [incr retired] precedes the op). *)
   let nrun = if !fused >= 0 then !fused else !i - idx0 in
   let nret =
     match !outcome with Fault _ | Fault_arith -> nrun + 1 | _ -> nrun

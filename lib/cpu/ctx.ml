@@ -1,11 +1,10 @@
 (** The register context of one task, split out of {!Cpu} so the
-    block compiler in {!Icache} can build closures over it without a
-    dependency cycle (Ctx -> Icache -> Cpu).  {!Cpu} re-exports
+    instruction compiler in {!Icache} can build its ops over it without
+    a dependency cycle (Ctx -> Icache -> Cpu).  {!Cpu} re-exports
     everything here via [include], so the rest of the tree keeps
-    using [Cpu.t], [Cpu.peek_reg], [t.ctx.Cpu.rip] and friends
-    unchanged. *)
+    using [Cpu.t], [Cpu.peek_reg], [Cpu.Stepped], [t.ctx.Cpu.rip] and
+    friends unchanged. *)
 
-open Sim_isa
 open Sim_mem
 
 (** {1 Extended state (SSE + x87)} *)
@@ -88,6 +87,17 @@ type hook_event =
   | X87_read
   | X87_write
 
+(** What executing one instruction did. *)
+type outcome =
+  | Stepped
+  | Trap_syscall  (** [rip] already points past the syscall instruction *)
+  | Trap_hypercall of int
+  | Trap_breakpoint
+  | Halted
+  | Fault of int * Mem.access  (** [rip] still at the faulting instruction *)
+  | Fault_arith  (** division by zero *)
+  | Bad_instr of int  (** undecodable opcode at [rip] *)
+
 type t = {
   regs : int64 array;  (** 16 GPRs *)
   mutable rip : int;
@@ -144,103 +154,13 @@ let copy (c : t) =
     pkru = c.pkru;
   }
 
-let fire c e = match c.hook with None -> () | Some f -> f e
-
-let get_reg c r =
-  fire c (Reg_read r);
-  c.regs.(r)
-
-let set_reg c r v =
-  fire c (Reg_write r);
-  c.regs.(r) <- v
-
 (* Untracked accessors for kernel/interposer use: the kernel reading
    syscall arguments is not an application register use and must not
    register in the Pin analysis. *)
 let peek_reg c r = c.regs.(r)
 let poke_reg c r v = c.regs.(r) <- v
 
-(** Syscall arguments per the SysV convention. *)
-let syscall_args c =
-  ( c.regs.(Isa.rdi), c.regs.(Isa.rsi), c.regs.(Isa.rdx), c.regs.(Isa.r10),
-    c.regs.(Isa.r8), c.regs.(Isa.r9) )
-
-let flags_of_result c (v : int64) =
-  c.zf <- Int64.equal v 0L;
-  c.sf <- Int64.compare v 0L < 0;
-  c.cf <- false
-
-let seg_base c = function
-  | Isa.Seg_none -> 0
-  | Isa.Seg_fs -> c.fs_base
-  | Isa.Seg_gs -> c.gs_base
-
-let ea c seg base disp =
-  seg_base c seg + Int64.to_int (get_reg c base) + Int32.to_int disp
-
-(* Protection-key write check (no-op while pkru = 0). *)
-let wcheck c mem addr =
-  if c.pkru <> 0 then begin
-    let pk = Mem.pkey_at mem addr in
-    if pk <> 0 && c.pkru land (1 lsl pk) <> 0 then
-      raise (Mem.Fault (addr, Mem.Write))
-  end
-
-let push c mem v =
-  let sp = Int64.to_int c.regs.(Isa.rsp) - 8 in
-  wcheck c mem sp;
-  Mem.write_u64 mem sp v;
-  c.regs.(Isa.rsp) <- Int64.of_int sp
-
-let pop c mem =
-  let sp = Int64.to_int c.regs.(Isa.rsp) in
-  let v = Mem.read_u64 mem sp in
-  c.regs.(Isa.rsp) <- Int64.of_int (sp + 8);
-  v
-
-let cond_holds c = function
-  | Isa.Eq -> c.zf
-  | Isa.Ne -> not c.zf
-  | Isa.Lt -> c.sf
-  | Isa.Le -> c.sf || c.zf
-  | Isa.Gt -> not (c.sf || c.zf)
-  | Isa.Ge -> not c.sf
-  | Isa.Ult -> c.cf
-  | Isa.Uge -> not c.cf
-
-let x87_push c v =
-  if c.x.st_sp >= 8 then c.x.st_sp <- 7;
-  (* stack overflow clobbers the top slot, as good as anything *)
-  c.x.st.(c.x.st_sp) <- v;
-  c.x.st_sp <- c.x.st_sp + 1;
-  fire c X87_write
-
-let x87_pop c =
-  fire c X87_read;
-  if c.x.st_sp = 0 then 0L
-  else (
-    c.x.st_sp <- c.x.st_sp - 1;
-    c.x.st.(c.x.st_sp))
-
 (** Total instructions retired across every CPU instance in the
     process — the benchmark harness divides this by wall-clock time to
     report host-side simulation throughput. *)
 let retired = ref 0
-
-(* Per-instruction cycle accounting, identical whether the decode came
-   from the icache or the byte-at-a-time path. *)
-let account (c : t) (instr : Isa.instr) =
-  match instr with
-  | Isa.Nop ->
-      c.nop_run <- c.nop_run + 1;
-      c.last_cost <- (if c.nop_run land 3 = 0 then 1 else 0)
-  | Isa.Nopw n ->
-      c.nop_run <- 0;
-      c.last_cost <- n
-  | Isa.Wrpkru _ ->
-      (* real WRPKRU serialises; ~23 cycles on current parts *)
-      c.nop_run <- 0;
-      c.last_cost <- 23
-  | _ ->
-      c.nop_run <- 0;
-      c.last_cost <- 1

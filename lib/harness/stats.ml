@@ -190,10 +190,15 @@ module Log_hist = struct
       let est = ref t.max_v in
       let cum = ref 0.0 in
       let found = ref false in
+      (* Position of the rank inside a bucket of [c] samples, each
+         sample taking the middle of its 1/c slice.  Clamped to 1: in
+         a bucket's last half-sample the slice midpoint would put the
+         estimate past the bucket's upper bound. *)
+      let frac c = Float.min 1.0 ((rank -. !cum +. 0.5) /. c) in
       if (not !found) && t.under > 0 then begin
         let c = float_of_int t.under in
         if rank < !cum +. c then begin
-          est := (rank -. !cum +. 0.5) /. c *. 1.0;
+          est := frac c;
           found := true
         end
         else cum := !cum +. c
@@ -206,7 +211,7 @@ module Log_hist = struct
           let cf = float_of_int c in
           if rank < !cum +. cf then begin
             let lo, hi = bounds t !i in
-            est := lo +. ((rank -. !cum +. 0.5) /. cf *. (hi -. lo));
+            est := lo +. (frac cf *. (hi -. lo));
             found := true
           end
           else cum := !cum +. cf

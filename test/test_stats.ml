@@ -278,6 +278,20 @@ let prop_log_hist_relative_error =
       Float.abs (est -. sample) /. sample
       <= (1.0 /. float_of_int sub) +. 1e-6)
 
+(* A rank in the last half-sample of a bucket that is not the top one
+   (so the final clamp to the observed max cannot hide an overshoot):
+   two samples in [1, 1.25) at sub = 4, one far above.  p95 maps to
+   rank 1.9, inside the low bucket; the estimate must stay within that
+   bucket's bounds. *)
+let test_log_hist_last_half_sample () =
+  let h = H.create ~sub:4 () in
+  List.iter (H.add h) [ 1.0; 1.0; 100.0 ];
+  let est = H.percentile h 95.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "p95 %g inside [1, 1.25]" est)
+    true
+    (est >= 1.0 && est <= 1.25)
+
 (* --- streaming sketch (full float range) --------------------------- *)
 
 let test_sketch_mixed_signs () =
@@ -363,4 +377,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_log_hist_relative_error;
     Alcotest.test_case "sketch: mixed signs" `Quick test_sketch_mixed_signs;
     Alcotest.test_case "sketch: all negative" `Quick test_sketch_all_negative;
+    Alcotest.test_case "log-hist: last half-sample stays in its bucket" `Quick
+      test_log_hist_last_half_sample;
   ]
