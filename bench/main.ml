@@ -280,11 +280,7 @@ let spans_rows ~conns ~requests () =
       let t0 = Unix.gettimeofday () in
       let _a, k, _t = D.run_audited ~obs:o mech workload in
       let wall = Unix.gettimeofday () -. t0 in
-      let clks =
-        Array.map
-          (fun (c : Sim_kernel.Types.cpu_slot) -> c.Sim_kernel.Types.clk)
-          k.Sim_kernel.Types.cpus
-      in
+      let clks = Sim_kernel.Types.clocks k in
       let tt = Obs.totals o ~clks in
       let h = Obs.latency_hist o in
       let pc p = Sim_stats.Stats.Log_hist.percentile h p in

@@ -225,7 +225,7 @@ let print_block_summary ~before ~retired_before =
 (** Machine-wide causal-phase rows from the span recorder: where
     every simulated cycle of the run went. *)
 let print_phase_summary (o : Sim_obs.Obs.t) (k : Types.kernel) =
-  let clks = Array.map (fun (c : Types.cpu_slot) -> c.Types.clk) k.Types.cpus in
+  let clks = Types.clocks k in
   let tt = Sim_obs.Obs.totals o ~clks in
   let total = tt.Sim_obs.Obs.t_total in
   Printf.eprintf "\nphase attribution (cycles):\n";
@@ -573,7 +573,7 @@ let spans_cmd mech flavour size_kb conns requests out record_out no_blocks =
   let p = Sim_obs.Provenance.create () in
   let workload = Divergence.Wrk { flavour; size_kb; conns; requests } in
   let a, k, _t = Divergence.run_audited ?blocks ~obs:o ~prov:p dmech workload in
-  let clks = Array.map (fun (c : Types.cpu_slot) -> c.Types.clk) k.Types.cpus in
+  let clks = Types.clocks k in
   print_string
     (Sim_obs.Obs.report ~name_of_nr:Defs.syscall_name
        ~name_of_site:(Sim_obs.Provenance.symbolize p) o ~clks);

@@ -58,6 +58,9 @@ let hash_bytes_from h0 (b : Bytes.t) =
   !h
 
 let hash_bytes b = hash_bytes_from seed b
+
+(* Mix the words of a packed register capture (see {!words}). *)
+let mix_words h s = hash_bytes_from h (Bytes.unsafe_of_string s)
 let hash_string s = hash_bytes (Bytes.unsafe_of_string s)
 
 (* ------------------------------------------------------------------ *)
@@ -74,10 +77,12 @@ type scope = App | Mech
 type ev =
   | Syscall of {
       nr : int;
-      args : int64 array;  (** the six argument registers at dispatch *)
+      args : string;
+          (** the six argument registers at dispatch, packed (see
+              {!words}) *)
       ret : int64 option;  (** [None]: control transfer, no result write *)
       path : Event.dispatch_path;
-      cs : int64 array;  (** callee-saved rbx rbp r12–r15 after return *)
+      cs : string;  (** callee-saved rbx rbp r12–r15 after return, packed *)
       xh : int64;  (** xstate hash after return *)
     }
   | Signal of { signo : int }
@@ -97,6 +102,18 @@ type entry = {
       (** running hash of {e everything} up to and including this
           entry — replay identity for the same mechanism. *)
 }
+
+(** Register captures are packed as consecutive little-endian 64-bit
+    words, one string per capture: a capture then retains one block
+    instead of an array of boxed values.  [words s] unpacks one,
+    [pack] is the inverse. *)
+let words s =
+  Array.init (String.length s / 8) (fun i -> String.get_int64_le s (8 * i))
+
+let pack (vs : int64 array) =
+  let b = Bytes.create (8 * Array.length vs) in
+  Array.iteri (fun i v -> Bytes.set_int64_le b (8 * i) v) vs;
+  Bytes.unsafe_to_string b
 
 type checkpoint = { ck_seq : int; ck_app_seq : int; ck_tid : int; ck_hash : int64 }
 type row = Rev of entry | Rck of checkpoint
@@ -165,7 +182,7 @@ let forget_task a tid =
 (* ------------------------------------------------------------------ *)
 (* State hashing                                                       *)
 
-let xstate_hash (c : Cpu.t) = hash_string (Cpu.xstate_to_bytes c.Cpu.x)
+let xstate_hash (c : Cpu.t) = hash_bytes (Cpu.xstate_image c.Cpu.x)
 
 let cache_for a tid =
   match Hashtbl.find_opt a.caches tid with
@@ -212,7 +229,9 @@ let flags_bits (c : Cpu.t) =
     pkru, xstate, and the incremental memory hash. *)
 let full_state_hash a ~tid (c : Cpu.t) mem =
   let h = ref seed in
-  Array.iter (fun r -> h := mix !h r) c.Cpu.regs;
+  for r = 0 to 15 do
+    h := mix !h (Cpu.peek_reg c r)
+  done;
   h := mix_int !h c.Cpu.rip;
   h := mix_int !h (flags_bits c);
   h := mix_int !h c.Cpu.fs_base;
@@ -238,11 +257,11 @@ let ev_key tid ev =
   match ev with
   | Syscall { nr; args; ret; cs; xh; path = _ } ->
       let h = mix_int (mix_int h 1) nr in
-      let h = Array.fold_left mix h args in
+      let h = mix_words h args in
       let h =
         match ret with None -> mix_int h 0 | Some v -> mix (mix_int h 1) v
       in
-      let h = Array.fold_left mix h cs in
+      let h = mix_words h cs in
       mix h xh
   | Signal { signo } -> mix_int (mix_int h 2) signo
   | Sigreturn -> mix_int h 3
@@ -274,7 +293,7 @@ let push a ~tid ~scope ev =
   a.seq <- a.seq + 1;
   a.chain <- chain
 
-let capture_cs (c : Cpu.t) = Array.map (fun r -> Cpu.peek_reg c r) callee_saved
+let capture_cs (c : Cpu.t) = Cpu.pack_regs c callee_saved
 
 let record_syscall a ~tid ~scope ~nr ~args ~ret ~path (c : Cpu.t) =
   push a ~tid ~scope
@@ -355,7 +374,7 @@ let add_entry buf ~syscall_name ~errno_name (e : entry) =
   (match e.ev with
   | Syscall { nr; args; ret; path; cs; xh } ->
       bprintf buf "S %d %s" nr (syscall_name nr);
-      Array.iter (fun v -> bprintf buf " %Lx" v) args;
+      Array.iter (fun v -> bprintf buf " %Lx" v) (words args);
       (match ret with
       | None -> bprintf buf " - -"
       | Some v ->
@@ -365,7 +384,7 @@ let add_entry buf ~syscall_name ~errno_name (e : entry) =
           in
           bprintf buf " %Lx %s" v status);
       bprintf buf " %s" (Event.path_name path);
-      Array.iter (fun v -> bprintf buf " %Lx" v) cs;
+      Array.iter (fun v -> bprintf buf " %Lx" v) (words cs);
       bprintf buf " %Lx" xh
   | Signal { signo } -> bprintf buf "G %d" signo
   | Sigreturn -> bprintf buf "R"
@@ -418,24 +437,26 @@ let explain_pair l r =
       else begin
         let reason = ref None in
         let put s = if !reason = None then reason := Some s in
+        let bargs = words b.args in
         Array.iteri
           (fun i v ->
-            if v <> b.args.(i) then
-              put (Printf.sprintf "arg%d differs: %Ld vs %Ld" i v b.args.(i)))
-          a.args;
+            if v <> bargs.(i) then
+              put (Printf.sprintf "arg%d differs: %Ld vs %Ld" i v bargs.(i)))
+          (words a.args);
         (match (a.ret, b.ret) with
         | Some x, Some y when x <> y ->
             put (Printf.sprintf "result differs: %Ld vs %Ld" x y)
         | None, Some y -> put (Printf.sprintf "result differs: - vs %Ld" y)
         | Some x, None -> put (Printf.sprintf "result differs: %Ld vs -" x)
         | _ -> ());
+        let bcs = words b.cs in
         Array.iteri
           (fun i v ->
-            if v <> b.cs.(i) then
+            if v <> bcs.(i) then
               put
                 (Printf.sprintf "callee-saved %s differs: %Ld vs %Ld"
-                   callee_saved_names.(i) v b.cs.(i)))
-          a.cs;
+                   callee_saved_names.(i) v bcs.(i)))
+          (words a.cs);
         if a.xh <> b.xh then put "xstate differs";
         match !reason with Some s -> s | None -> "entries differ"
       end

@@ -58,8 +58,8 @@ let to_i = Int64.to_int
 let i64 = Int64.of_int
 
 (* At PREP and FIN, rsp still equals the frame base F. *)
-let uc_of_rsp (t : task) = to_i (Cpu.peek_reg t.ctx Isa.rsp) + 40
-let si_of_rsp (t : task) = to_i (Cpu.peek_reg t.ctx Isa.rsp) + 8
+let uc_of_rsp (t : task) = Cpu.peek_reg_int t.ctx Isa.rsp + 40
+let si_of_rsp (t : task) = Cpu.peek_reg_int t.ctx Isa.rsp + 8
 
 let hyper_prep (st : t) (k : kernel) (t : task) =
   charge k Layout.hook_save_cost;
@@ -104,9 +104,9 @@ let hyper_prep (st : t) (k : kernel) (t : task) =
         hand the kernel the copy's base as the child stack pointer.
         The child then runs the stub tail on the copy and sigreturns
         into app code on the requested stack. *)
-     let new_top = to_i (Cpu.peek_reg c Isa.rsi) in
+     let new_top = Cpu.peek_reg_int c Isa.rsi in
      if new_top <> 0 then begin
-       let f = to_i (Cpu.peek_reg c Isa.rsp) in
+       let f = Cpu.peek_reg_int c Isa.rsp in
        let f' = (new_top - Ksignal.frame_size) land lnot 15 in
        try
          let frame = Mem.peek_bytes t.mem f Ksignal.frame_size in
@@ -117,7 +117,7 @@ let hyper_prep (st : t) (k : kernel) (t : task) =
          (* The copy's saved rip already points past the app's
             syscall site; its saved rax is overwritten with the
             child's 0 by FIN. *)
-         Cpu.poke_reg c Isa.rsi (i64 f')
+         Cpu.poke_reg_int c Isa.rsi f'
        with Mem.Fault _ -> ()
      end
    end);

@@ -48,14 +48,14 @@ let to_i = Int64.to_int
     the lazypoline fast path does. *)
 let prep_clone (st : t) (t : task) =
   let c = t.ctx in
-  let new_stack = to_i (Cpu.peek_reg c Isa.rsi) in
+  let new_stack = Cpu.peek_reg_int c Isa.rsi in
   if new_stack <> 0 then begin
-    match Mem.peek_u64 t.mem (to_i (Cpu.peek_reg c Isa.rsp)) with
+    match Mem.peek_u64 t.mem (Cpu.peek_reg_int c Isa.rsp) with
     | ret_addr -> (
         try
           Mem.write_u64 t.mem (new_stack - 8) ret_addr;
           Hashtbl.replace st.clone_rsi t.tid (Cpu.peek_reg c Isa.rsi);
-          Cpu.poke_reg c Isa.rsi (Int64.of_int (new_stack - 8))
+          Cpu.poke_reg_int c Isa.rsi (new_stack - 8)
         with Mem.Fault _ -> ())
     | exception Mem.Fault _ -> ()
   end
@@ -64,14 +64,14 @@ let hyper_enter (st : t) (k : kernel) (t : task) =
   charge k Layout.hook_save_cost;
   st.stats.hits <- st.stats.hits + 1;
   let c = t.ctx in
-  let nr = to_i (Cpu.peek_reg c Isa.rax) in
+  let nr = Cpu.peek_reg_int c Isa.rax in
   if st.hook.Hook.clobbers_xstate then
     (* zpoline does not preserve extended state: the hook's SSE usage
        leaks straight into the application (Section IV-B-b). *)
     Lazypoline.clobber_xstate t;
   charge k st.hook.Hook.body_cost;
   let site =
-    match Mem.peek_u64 t.mem (to_i (Cpu.peek_reg c Isa.rsp)) with
+    match Mem.peek_u64 t.mem (Cpu.peek_reg_int c Isa.rsp) with
     | ret -> to_i ret - 2
     | exception Mem.Fault _ -> 0
   in
@@ -100,8 +100,7 @@ let hyper_enter (st : t) (k : kernel) (t : task) =
            kernel does not expect: rt_sigreturn locates the frame from
            rsp and never returns, so drop it.  (Real zpoline must
            special-case rt_sigreturn for exactly this reason.) *)
-        Cpu.poke_reg c Isa.rsp
-          (Int64.of_int (to_i (Cpu.peek_reg c Isa.rsp) + 8))
+        Cpu.poke_reg_int c Isa.rsp (Cpu.peek_reg_int c Isa.rsp + 8)
       else if nr = Defs.sys_clone then prep_clone st t
 
 let hyper_exit (st : t) (k : kernel) (t : task) =
@@ -140,7 +139,8 @@ let rewrite_image (st : t) (t : task) =
             (match st.kernel.prov with
             | Some p ->
                 Sim_obs.Provenance.note_rewrite p ~site:(addr + off)
-                  ~kind:Sim_obs.Provenance.Rw_sweep ~now:(now st.kernel)
+                  ~kind:Sim_obs.Provenance.Rw_sweep
+                  ~now:(Int64.of_int (now st.kernel))
             | None -> ());
             incr n
           end)

@@ -82,9 +82,8 @@ let i64 = Int64.of_int
 
 let gs_read_u64 (t : task) off = Mem.peek_u64 t.mem (t.ctx.Cpu.gs_base + off)
 let gs_write_u64 (t : task) off v = Mem.poke_u64 t.mem (t.ctx.Cpu.gs_base + off) v
-let gs_read_u8 (t : task) off = Char.code (Mem.peek_bytes t.mem (t.ctx.Cpu.gs_base + off) 1).[0]
-let gs_write_u8 (t : task) off v =
-  Mem.poke_bytes t.mem (t.ctx.Cpu.gs_base + off) (String.make 1 (Char.chr v))
+let gs_read_u8 (t : task) off = Mem.peek_u8 t.mem (t.ctx.Cpu.gs_base + off)
+let gs_write_u8 (t : task) off v = Mem.poke_u8 t.mem (t.ctx.Cpu.gs_base + off) v
 
 let set_selector (t : task) v = gs_write_u8 t Layout.gs_selector v
 
@@ -105,12 +104,16 @@ let set_selector_traced (st : t) (tk : task) v =
    code compiled with SSE would. *)
 let clobber_xstate (t : task) =
   for i = 0 to 7 do
-    t.ctx.Cpu.x.Cpu.xmm_lo.(i) <- 0xDEAD_BEEF_DEAD_BEEFL;
-    t.ctx.Cpu.x.Cpu.xmm_hi.(i) <- 0xDEAD_BEEF_DEAD_BEEFL
+    Cpu.set_xmm_lo t.ctx.Cpu.x i 0xDEAD_BEEF_DEAD_BEEFL;
+    Cpu.set_xmm_hi t.ctx.Cpu.x i 0xDEAD_BEEF_DEAD_BEEFL
   done;
   t.ctx.Cpu.x.Cpu.st_sp <- 0
 
 (** {1 xstate stack} *)
+
+(* Address of xsave-stack slot [d] in [t]'s gs area. *)
+let xstack_slot (t : task) d =
+  t.ctx.Cpu.gs_base + Layout.gs_xstack_base + (d * Layout.gs_xstack_frame)
 
 let xstate_push (st : t) (t : task) =
   charge st.kernel st.kernel.cost.xsave;
@@ -118,10 +121,7 @@ let xstate_push (st : t) (t : task) =
   if depth >= Layout.gs_xstack_slots then
     st.stats.xstate_overflows <- st.stats.xstate_overflows + 1
   else begin
-    Mem.poke_bytes t.mem
-      (t.ctx.Cpu.gs_base + Layout.gs_xstack_base
-      + (depth * Layout.gs_xstack_frame))
-      (Cpu.xstate_to_bytes t.ctx.Cpu.x);
+    Cpu.xstate_save t.ctx.Cpu.x t.mem (xstack_slot t depth);
     gs_write_u64 t Layout.gs_xstack_depth (i64 (depth + 1))
   end
 
@@ -129,13 +129,7 @@ let xstate_pop (st : t) (t : task) =
   charge st.kernel st.kernel.cost.xrstor;
   let depth = to_i (gs_read_u64 t Layout.gs_xstack_depth) in
   if depth > 0 then begin
-    let frame =
-      Mem.peek_bytes t.mem
-        (t.ctx.Cpu.gs_base + Layout.gs_xstack_base
-        + ((depth - 1) * Layout.gs_xstack_frame))
-        Layout.gs_xstack_frame
-    in
-    Cpu.xstate_of_bytes t.ctx.Cpu.x frame;
+    Cpu.xstate_load t.ctx.Cpu.x t.mem (xstack_slot t (depth - 1));
     gs_write_u64 t Layout.gs_xstack_depth (i64 (depth - 1))
   end
 
@@ -153,13 +147,7 @@ let init_new_task (st : t) (k : kernel) (t : task) =
     let depth = try to_i (gs_read_u64 t Layout.gs_xstack_depth) with Mem.Fault _ -> 0 in
     if depth > 0 then begin
       charge k k.cost.xrstor;
-      let frame =
-        Mem.peek_bytes t.mem
-          (t.ctx.Cpu.gs_base + Layout.gs_xstack_base
-          + ((depth - 1) * Layout.gs_xstack_frame))
-          Layout.gs_xstack_frame
-      in
-      Cpu.xstate_of_bytes t.ctx.Cpu.x frame
+      Cpu.xstate_load t.ctx.Cpu.x t.mem (xstack_slot t (depth - 1))
     end
   end;
   (* Fresh per-task region, mapped with a real (charged) mmap. *)
@@ -207,9 +195,9 @@ let init_new_task (st : t) (k : kernel) (t : task) =
 
 let emulate_sigaction (st : t) (k : kernel) (t : task) =
   let c = t.ctx in
-  let sig_ = to_i (Cpu.peek_reg c Isa.rdi) in
-  let act_ptr = to_i (Cpu.peek_reg c Isa.rsi) in
-  let old_ptr = to_i (Cpu.peek_reg c Isa.rdx) in
+  let sig_ = Cpu.peek_reg_int c Isa.rdi in
+  let act_ptr = Cpu.peek_reg_int c Isa.rsi in
+  let old_ptr = Cpu.peek_reg_int c Isa.rdx in
   let result =
     if sig_ < 1 || sig_ > Defs.nsig || sig_ = Defs.sigkill
        || sig_ = Defs.sigstop
@@ -274,7 +262,7 @@ let emulate_sigaction (st : t) (k : kernel) (t : task) =
   (match k.auditor with
   | Some a ->
       let module A = Sim_audit.Audit in
-      let args = Array.map (fun r -> Cpu.peek_reg c r) Hook.arg_regs in
+      let args = Cpu.pack_regs c Hook.arg_regs in
       let path =
         match t.trace_path with
         | Some p -> p
@@ -301,14 +289,14 @@ let emulate_sigaction (st : t) (k : kernel) (t : task) =
 
 let prep_clone (st : t) (t : task) =
   let c = t.ctx in
-  let new_stack = to_i (Cpu.peek_reg c Isa.rsi) in
+  let new_stack = Cpu.peek_reg_int c Isa.rsi in
   if new_stack <> 0 then begin
-    match Mem.peek_u64 t.mem (to_i (Cpu.peek_reg c Isa.rsp)) with
+    match Mem.peek_u64 t.mem (Cpu.peek_reg_int c Isa.rsp) with
     | ret_addr -> (
         try
           Mem.write_u64 t.mem (new_stack - 8) ret_addr;
           Hashtbl.replace st.clone_rsi t.tid (Cpu.peek_reg c Isa.rsi);
-          Cpu.poke_reg c Isa.rsi (i64 (new_stack - 8))
+          Cpu.poke_reg_int c Isa.rsi (new_stack - 8)
         with Mem.Fault _ -> ())
     | exception Mem.Fault _ -> ()
   end
@@ -325,8 +313,8 @@ let prep_sigreturn (st : t) (k : kernel) (t : task) =
   st.stats.sigreturns_redirected <- st.stats.sigreturns_redirected + 1;
   (* Drop the return address the fast-path call pushed: rt_sigreturn
      never returns, and the kernel locates the frame from rsp. *)
-  let rsp = to_i (Cpu.peek_reg c Isa.rsp) + 8 in
-  Cpu.poke_reg c Isa.rsp (i64 rsp);
+  let rsp = Cpu.peek_reg_int c Isa.rsp + 8 in
+  Cpu.poke_reg_int c Isa.rsp rsp;
   let f = rsp - 8 in
   let depth = to_i (gs_read_u64 t Layout.gs_sigstack_depth) in
   if depth > 0 then begin
@@ -346,7 +334,7 @@ let hyper_enter (st : t) (k : kernel) (t : task) =
   let c = t.ctx in
   charge k (Layout.hook_save_cost + Layout.gs_bookkeeping_cost);
   st.stats.fast_hits <- st.stats.fast_hits + 1;
-  let nr = to_i (Cpu.peek_reg c Isa.rax) in
+  let nr = Cpu.peek_reg_int c Isa.rax in
   let returns_to_app =
     nr <> Defs.sys_rt_sigreturn && nr <> Defs.sys_exit
     && nr <> Defs.sys_exit_group && nr <> Defs.sys_execve
@@ -355,7 +343,7 @@ let hyper_enter (st : t) (k : kernel) (t : task) =
   if st.hook.Hook.clobbers_xstate then clobber_xstate t;
   charge k st.hook.Hook.body_cost;
   let site =
-    match Mem.peek_u64 t.mem (to_i (Cpu.peek_reg c Isa.rsp)) with
+    match Mem.peek_u64 t.mem (Cpu.peek_reg_int c Isa.rsp) with
     | ret -> to_i ret - 2
     | exception Mem.Fault _ -> 0
   in
@@ -381,7 +369,7 @@ let hyper_enter (st : t) (k : kernel) (t : task) =
       c.rip <- c.rip + 2
   | Hook.Emulate ->
       (* The hook may have rewritten the syscall number. *)
-      let nr = to_i (Cpu.peek_reg c Isa.rax) in
+      let nr = Cpu.peek_reg_int c Isa.rax in
       if nr = Defs.sys_rt_sigaction then emulate_sigaction st k t
       else begin
         (* The stub's [syscall] instruction below carries the real
@@ -419,7 +407,7 @@ let hyper_sigwrap (st : t) (k : kernel) (t : task) =
     gs_write_u64 t Layout.gs_sigstack_depth (i64 (depth + 1))
   end;
   set_selector_traced st t Defs.syscall_dispatch_filter_block;
-  let sig_ = to_i (Cpu.peek_reg c Isa.rdi) in
+  let sig_ = Cpu.peek_reg_int c Isa.rdi in
   let handler =
     match Hashtbl.find_opt st.app_handlers (t.tgid, sig_) with
     | Some (h, _, _, _) -> h
@@ -457,9 +445,9 @@ let hyper_sigsys (st : t) (k : kernel) (t : task) =
   let c = t.ctx in
   charge k Layout.slowpath_body_cost;
   st.stats.slow_hits <- st.stats.slow_hits + 1;
-  let si = to_i (Cpu.peek_reg c Isa.rsi) in
+  let si = Cpu.peek_reg_int c Isa.rsi in
   let call_addr = to_i (Mem.peek_u64 t.mem (si + Ksignal.si_call_addr_off)) in
-  let uc = to_i (Cpu.peek_reg c Isa.rdx) in
+  let uc = Cpu.peek_reg_int c Isa.rdx in
   let site = call_addr - 2 in
   (* We will sigreturn with the selector still ALLOW; the redirected
      entry point re-blocks it when done (selector-only SUD). *)
@@ -506,7 +494,7 @@ let hyper_sigsys (st : t) (k : kernel) (t : task) =
       (match k.prov with
       | Some p ->
           Sim_obs.Provenance.note_rewrite p ~site
-            ~kind:Sim_obs.Provenance.Rw_lazy ~now:(now k)
+            ~kind:Sim_obs.Provenance.Rw_lazy ~now:(Int64.of_int (now k))
       | None -> ())
   | _ -> ()
   | exception Mem.Fault _ -> ());
@@ -680,7 +668,8 @@ let rewrite_site (st : t) (t : task) ~addr =
       (match st.kernel.prov with
       | Some p ->
           Sim_obs.Provenance.note_rewrite p ~site:addr
-            ~kind:Sim_obs.Provenance.Rw_manual ~now:(now st.kernel)
+            ~kind:Sim_obs.Provenance.Rw_manual
+            ~now:(Int64.of_int (now st.kernel))
       | None -> ())
   | _ -> invalid_arg "rewrite_site: not a syscall instruction"
   | exception Mem.Fault _ -> invalid_arg "rewrite_site: unmapped"

@@ -84,5 +84,15 @@ val clobber_xstate : Sim_kernel.Types.task -> unit
     compiled with SSE would — used to reproduce the Listing 1
     compatibility hazard. *)
 
+val xstate_push : t -> Sim_kernel.Types.task -> unit
+(** Save the task's xstate on its %gs xsave stack (one blit), as the
+    fast-path entry does; at [Layout.gs_xstack_slots] live slots the
+    push is dropped and counted in [stats.xstate_overflows]. *)
+
+val xstate_pop : t -> Sim_kernel.Types.task -> unit
+(** Restore the xstate saved by the matching {!xstate_push} (one blit;
+    the guest-writable x87 depth is clamped to 0..8); no-op on an empty
+    stack. *)
+
 val set_selector : Sim_kernel.Types.task -> int -> unit
 (** Write the task's SUD selector byte (in its %gs area). *)

@@ -75,14 +75,16 @@ let step ?icache (c : t) (mem : Mem.t) : outcome =
     immediately after the op retires, with [rip] already advanced —
     the same point a single step's charge fires, so an attached
     profiler sees identical tick attribution.  When [None], units
-    accumulate and are returned for one bulk charge (clock and
-    task-cycle sums are identical; only a profiler could tell, and it
-    is absent on this path).
+    accumulate and [bulk] is called once with them (if nonzero) before
+    the runner returns: one charge (clock and task-cycle sums are
+    identical; only a profiler could tell, and it is absent on this
+    path).
 
     [chaos] (when set) is the per-retired-instruction preemption
     draw, called after every op exactly as the kernel's loop does
     around single steps; a [true] return stops the block at that
-    instruction boundary.
+    instruction boundary (the caller's callback records that it
+    fired).
 
     The runner re-checks the code-mutation epoch after every op that
     can write memory: if the store moved the executing block's own
@@ -94,11 +96,11 @@ let step ?icache (c : t) (mem : Mem.t) : outcome =
 
     Returns the terminal outcome ([Stepped] for a completed or merely
     interrupted block; [Fault _]/[Fault_arith] from a raising op, with
-    [rip] left at the faulting instruction), the uncharged bulk units,
-    and whether chaos preempted. *)
+    [rip] left at the faulting instruction).  Allocates nothing on the
+    observer-free paths. *)
 let run_block (c : t) (mem : Mem.t) (blk : Icache.block) (idx0 : int)
-    ~(budget : int) ~(per_op : (int -> unit) option)
-    ~(chaos : (unit -> bool) option) : outcome * int * bool =
+    ~(budget : int) ~(per_op : (int -> unit) option) ~(bulk : int -> unit)
+    ~(chaos : (unit -> bool) option) : outcome =
   let ops = blk.Icache.b_ops and writes = blk.Icache.b_writes in
   let n = Array.length ops in
   let pn = blk.Icache.b_pn and bgen = blk.Icache.b_gen in
@@ -190,5 +192,5 @@ let run_block (c : t) (mem : Mem.t) (blk : Icache.block) (idx0 : int)
       else if !smc then incr Icache.g_bexit_smc
       else if !i < n && !acc >= budget then incr Icache.g_bexit_budget
       else incr Icache.g_bexit_end);
-  let bulk = match per_op with None -> !acc | Some _ -> 0 in
-  (!outcome, bulk, !preempted)
+  (match per_op with None when !acc > 0 -> bulk !acc | _ -> ());
+  !outcome

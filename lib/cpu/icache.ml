@@ -270,18 +270,45 @@ let clear t =
 
    Register accesses as the Pin analyses observe them: the event is
    built only when a hook is installed, so an unhooked access costs one
-   field test.  These three inline into every op (inlining the larger
-   helpers below as well made cold code slower).  Register indices come
-   from the decoder, which never yields one above 15. *)
+   field test.  These three inline into every op.  Register indices
+   come from the decoder, which never yields one above 15.
+
+   Values stay unboxed inside an op as long as they are let-bound
+   before being handed on: an [int64] passed straight from one inlined
+   helper's result into another's argument is boxed, an [int64] bound
+   with [let] first is not. *)
 let[@inline] fire (c : Ctx.t) e = match c.hook with None -> () | Some f -> f e
 
 let[@inline] get_reg (c : Ctx.t) r =
   (match c.hook with None -> () | Some f -> f (Ctx.Reg_read r));
-  Array.unsafe_get c.regs r
+  Bytes.get_int64_le c.regs (r lsl 3)
 
-let[@inline] set_reg (c : Ctx.t) r v =
+let[@inline] set_reg (c : Ctx.t) r (v : int64) =
   (match c.hook with None -> () | Some f -> f (Ctx.Reg_write r));
-  Array.unsafe_set c.regs r v
+  Bytes.set_int64_le c.regs (r lsl 3) v
+
+(* The implicit rsp of push/pop/call/ret, read and written without a
+   hook event. *)
+let[@inline] rsp (c : Ctx.t) =
+  Int64.to_int (Bytes.get_int64_le c.regs (Isa.rsp lsl 3))
+
+let[@inline] set_rsp (c : Ctx.t) sp =
+  Bytes.set_int64_le c.regs (Isa.rsp lsl 3) (Int64.of_int sp)
+
+(* 64-bit memory words.  A word inside one page goes through the
+   checked page accessor and stays unboxed; a page-straddling word
+   takes [Mem]'s byte path (and boxes).  Faults are [Mem]'s. *)
+let[@inline] in_page a = a land Mem.page_mask <= Mem.page_size - 8
+
+let[@inline] load64 mem a =
+  if in_page a then
+    Bytes.get_int64_le (Mem.page_for_read mem a) (a land Mem.page_mask)
+  else Mem.read_u64 mem a
+
+let[@inline] store64 mem a (v : int64) =
+  if in_page a then
+    Bytes.set_int64_le (Mem.page_for_write mem a) (a land Mem.page_mask) v
+  else Mem.write_u64 mem a v
 
 (* Protection-key write check (no-op while pkru = 0). *)
 let wcheck (c : Ctx.t) mem addr =
@@ -291,24 +318,41 @@ let wcheck (c : Ctx.t) mem addr =
       raise (Mem.Fault (addr, Mem.Write))
   end
 
-(* The implicit rsp update of push/pop/call/ret fires no hook event. *)
-let push (c : Ctx.t) mem v =
-  let sp = Int64.to_int c.regs.(Isa.rsp) - 8 in
+(* Stack pushes and pops.  The implicit rsp update of
+   push/pop/call/ret fires no hook event; [push_reg] and [pop_reg]
+   fire the explicit operand's.  They stay out of line: inlining them
+   into every op made cold code slower. *)
+let push_int (c : Ctx.t) mem v =
+  let sp = rsp c - 8 in
   wcheck c mem sp;
-  Mem.write_u64 mem sp v;
-  c.regs.(Isa.rsp) <- Int64.of_int sp
+  let v = Int64.of_int v in
+  store64 mem sp v;
+  set_rsp c sp
 
-let pop (c : Ctx.t) mem =
-  let sp = Int64.to_int c.regs.(Isa.rsp) in
-  let v = Mem.read_u64 mem sp in
-  c.regs.(Isa.rsp) <- Int64.of_int (sp + 8);
-  v
+let push_reg (c : Ctx.t) mem r =
+  let v = get_reg c r in
+  let sp = rsp c - 8 in
+  wcheck c mem sp;
+  store64 mem sp v;
+  set_rsp c sp
+
+let pop_int (c : Ctx.t) mem =
+  let sp = rsp c in
+  let v = load64 mem sp in
+  set_rsp c (sp + 8);
+  Int64.to_int v
+
+let pop_reg (c : Ctx.t) mem r =
+  let sp = rsp c in
+  let v = load64 mem sp in
+  set_rsp c (sp + 8);
+  set_reg c r v
 
 let x87_push (c : Ctx.t) v =
   let x = c.x in
   (* stack overflow clobbers the top slot, as good as anything *)
   if x.st_sp >= 8 then x.st_sp <- 7;
-  x.st.(x.st_sp) <- v;
+  Ctx.set_st x x.st_sp v;
   x.st_sp <- x.st_sp + 1;
   fire c Ctx.X87_write
 
@@ -318,7 +362,7 @@ let x87_pop (c : Ctx.t) =
   if x.st_sp = 0 then 0L
   else begin
     x.st_sp <- x.st_sp - 1;
-    x.st.(x.st_sp)
+    Ctx.st x x.st_sp
   end
 
 (* Effective address with segment and displacement resolved at compile
@@ -357,16 +401,25 @@ let[@inline] cmpf (c : Ctx.t) a b =
   c.sf <- Int64.compare a b < 0;
   c.cf <- Int64.unsigned_compare a b < 0
 
-let alu_fn = function
-  | Isa.Add -> Int64.add
-  | Isa.Sub -> Int64.sub
-  | Isa.And -> Int64.logand
-  | Isa.Or -> Int64.logor
-  | Isa.Xor -> Int64.logxor
-  | Isa.Mul -> Int64.mul
-  | Isa.Div -> Int64.div
-  | Isa.Rem -> Int64.rem
+(* The ALU and shift operations, matched inside the op so operands and
+   result stay unboxed ([Div]/[Rem] callers check for zero first). *)
+let[@inline] alu op a b =
+  match op with
+  | Isa.Add -> Int64.add a b
+  | Isa.Sub -> Int64.sub a b
+  | Isa.And -> Int64.logand a b
+  | Isa.Or -> Int64.logor a b
+  | Isa.Xor -> Int64.logxor a b
+  | Isa.Mul -> Int64.mul a b
+  | Isa.Div -> Int64.div a b
+  | Isa.Rem -> Int64.rem a b
   | Isa.Cmp -> assert false
+
+let[@inline] shift op a n =
+  match op with
+  | Isa.Shl -> Int64.shift_left a n
+  | Isa.Shr -> Int64.shift_right_logical a n
+  | Isa.Sar -> Int64.shift_right a n
 
 (** Whether [ins] may store to memory (so may modify code). *)
 let writes_mem = function
@@ -417,13 +470,14 @@ let compile_op (ins : Isa.instr) (next : int) : op =
   | Isa.Rdtsc ->
       fun c _ ->
         a1 c;
-        set_reg c Isa.rax (c.now ());
+        let v = c.now () in
+        set_reg c Isa.rax v;
         c.rip <- next;
         Stepped
   | Isa.Ret ->
       fun c mem ->
         a1 c;
-        c.rip <- Int64.to_int (pop c mem);
+        c.rip <- pop_int c mem;
         Stepped
   | Isa.Wrpkru r ->
       fun c _ ->
@@ -436,15 +490,16 @@ let compile_op (ins : Isa.instr) (next : int) : op =
   | Isa.Rdpkru r ->
       fun c _ ->
         a1 c;
-        set_reg c r (Int64.of_int c.pkru);
+        let v = Int64.of_int c.pkru in
+        set_reg c r v;
         c.rip <- next;
         Stepped
   | Isa.Call_reg r ->
       fun c mem ->
         a1 c;
-        let tgt = get_reg c r in
-        push c mem (Int64.of_int next);
-        c.rip <- Int64.to_int tgt;
+        let tgt = Int64.to_int (get_reg c r) in
+        push_int c mem next;
+        c.rip <- tgt;
         Stepped
   | Isa.Jmp_reg r ->
       fun c _ ->
@@ -454,20 +509,20 @@ let compile_op (ins : Isa.instr) (next : int) : op =
   | Isa.Push r ->
       fun c mem ->
         a1 c;
-        push c mem (get_reg c r);
+        push_reg c mem r;
         c.rip <- next;
         Stepped
   | Isa.Pop r ->
       fun c mem ->
         a1 c;
-        let v = pop c mem in
-        set_reg c r v;
+        pop_reg c mem r;
         c.rip <- next;
         Stepped
   | Isa.Mov_rr (d, s) ->
       fun c _ ->
         a1 c;
-        set_reg c d (get_reg c s);
+        let v = get_reg c s in
+        set_reg c d v;
         c.rip <- next;
         Stepped
   | Isa.Mov_ri (r, v) ->
@@ -487,7 +542,7 @@ let compile_op (ins : Isa.instr) (next : int) : op =
       let ea = ea_of seg b disp in
       fun c mem ->
         a1 c;
-        let v = Mem.read_u64 mem (ea c) in
+        let v = load64 mem (ea c) in
         set_reg c d v;
         c.rip <- next;
         Stepped
@@ -497,7 +552,8 @@ let compile_op (ins : Isa.instr) (next : int) : op =
         a1 c;
         let a = ea c in
         wcheck c mem a;
-        Mem.write_u64 mem a (get_reg c s);
+        let v = get_reg c s in
+        store64 mem a v;
         c.rip <- next;
         Stepped
   | Isa.Load8 (seg, d, b, disp) ->
@@ -521,7 +577,8 @@ let compile_op (ins : Isa.instr) (next : int) : op =
       let ea = ea_of Isa.Seg_none b disp in
       fun c _ ->
         a1 c;
-        set_reg c d (Int64.of_int (ea c));
+        let v = Int64.of_int (ea c) in
+        set_reg c d v;
         c.rip <- next;
         Stepped
   | Isa.Alu_rr (Isa.Cmp, d, s) ->
@@ -533,23 +590,22 @@ let compile_op (ins : Isa.instr) (next : int) : op =
         c.rip <- next;
         Stepped
   | Isa.Alu_rr (((Isa.Div | Isa.Rem) as op), d, s) ->
-      let f = alu_fn op in
       fun c _ ->
         a1 c;
         let a = get_reg c d in
         let b = get_reg c s in
         if Int64.equal b 0L then raise Exit;
-        let v = f a b in
+        let v = alu op a b in
         set_reg c d v;
         setf c v;
         c.rip <- next;
         Stepped
   | Isa.Alu_rr (op, d, s) ->
-      let f = alu_fn op in
       fun c _ ->
         a1 c;
         let a = get_reg c d in
-        let v = f a (get_reg c s) in
+        let b = get_reg c s in
+        let v = alu op a b in
         set_reg c d v;
         setf c v;
         c.rip <- next;
@@ -558,30 +614,27 @@ let compile_op (ins : Isa.instr) (next : int) : op =
       let b = Int64.of_int32 imm in
       fun c _ ->
         a1 c;
-        cmpf c (get_reg c r) b;
+        let a = get_reg c r in
+        cmpf c a b;
         c.rip <- next;
         Stepped
   | Isa.Alu_ri ((Isa.Mul | Isa.Div | Isa.Rem), _, _) ->
       invalid_arg "Icache.compile_op: ALU op with no immediate form"
   | Isa.Alu_ri (op, r, imm) ->
-      let f = alu_fn op and b = Int64.of_int32 imm in
+      let b = Int64.of_int32 imm in
       fun c _ ->
         a1 c;
-        let v = f (get_reg c r) b in
+        let a = get_reg c r in
+        let v = alu op a b in
         set_reg c r v;
         setf c v;
         c.rip <- next;
         Stepped
   | Isa.Shift (op, r, n) ->
-      let f =
-        match op with
-        | Isa.Shl -> fun a -> Int64.shift_left a n
-        | Isa.Shr -> fun a -> Int64.shift_right_logical a n
-        | Isa.Sar -> fun a -> Int64.shift_right a n
-      in
       fun c _ ->
         a1 c;
-        let v = f (get_reg c r) in
+        let a = get_reg c r in
+        let v = shift op a n in
         set_reg c r v;
         setf c v;
         c.rip <- next;
@@ -602,7 +655,7 @@ let compile_op (ins : Isa.instr) (next : int) : op =
       let tgt = next + Int32.to_int rel in
       fun c mem ->
         a1 c;
-        push c mem (Int64.of_int next);
+        push_int c mem next;
         c.rip <- tgt;
         Stepped
   | Isa.Setcc (cond, r) ->
@@ -613,44 +666,47 @@ let compile_op (ins : Isa.instr) (next : int) : op =
         c.rip <- next;
         Stepped
   | Isa.Movq_xr (x, r) ->
-      let wx = Xmm_write x in
+      let wx = Xmm_write x and lo = 16 * x in
       fun c _ ->
         a1 c;
         let v = get_reg c r in
         fire c wx;
-        c.x.xmm_lo.(x) <- v;
-        c.x.xmm_hi.(x) <- 0L;
+        Bytes.set_int64_le c.x.img lo v;
+        Bytes.set_int64_le c.x.img (lo + 8) 0L;
         c.rip <- next;
         Stepped
   | Isa.Movq_rx (r, x) ->
-      let rx = Xmm_read x in
+      let rx = Xmm_read x and lo = 16 * x in
       fun c _ ->
         a1 c;
         fire c rx;
-        set_reg c r c.x.xmm_lo.(x);
+        let v = Bytes.get_int64_le c.x.img lo in
+        set_reg c r v;
         c.rip <- next;
         Stepped
   | Isa.Movups_load (seg, x, b, disp) ->
-      let ea = ea_of seg b disp and wx = Xmm_write x in
+      let ea = ea_of seg b disp and wx = Xmm_write x and lo = 16 * x in
       fun c mem ->
         a1 c;
         let a = ea c in
-        let lo = Mem.read_u64 mem a in
-        let hi = Mem.read_u64 mem (a + 8) in
+        let vlo = load64 mem a in
+        let vhi = load64 mem (a + 8) in
         fire c wx;
-        c.x.xmm_lo.(x) <- lo;
-        c.x.xmm_hi.(x) <- hi;
+        Bytes.set_int64_le c.x.img lo vlo;
+        Bytes.set_int64_le c.x.img (lo + 8) vhi;
         c.rip <- next;
         Stepped
   | Isa.Movups_store (seg, b, disp, x) ->
-      let ea = ea_of seg b disp and rx = Xmm_read x in
+      let ea = ea_of seg b disp and rx = Xmm_read x and lo = 16 * x in
       fun c mem ->
         a1 c;
         let a = ea c in
         wcheck c mem a;
         fire c rx;
-        Mem.write_u64 mem a c.x.xmm_lo.(x);
-        Mem.write_u64 mem (a + 8) c.x.xmm_hi.(x);
+        let vlo = Bytes.get_int64_le c.x.img lo in
+        store64 mem a vlo;
+        let vhi = Bytes.get_int64_le c.x.img (lo + 8) in
+        store64 mem (a + 8) vhi;
         c.rip <- next;
         Stepped
   | Isa.Punpcklqdq (d, s) ->
@@ -659,7 +715,8 @@ let compile_op (ins : Isa.instr) (next : int) : op =
         a1 c;
         fire c rs;
         fire c wd;
-        c.x.xmm_hi.(d) <- c.x.xmm_lo.(s);
+        let v = Bytes.get_int64_le c.x.img (16 * s) in
+        Bytes.set_int64_le c.x.img ((16 * d) + 8) v;
         c.rip <- next;
         Stepped
   | Isa.Pxor (d, s) when d = s ->
@@ -668,18 +725,28 @@ let compile_op (ins : Isa.instr) (next : int) : op =
         a1 c;
         fire c rs;
         fire c wd;
-        c.x.xmm_lo.(d) <- 0L;
-        c.x.xmm_hi.(d) <- 0L;
+        Bytes.set_int64_le c.x.img (16 * d) 0L;
+        Bytes.set_int64_le c.x.img ((16 * d) + 8) 0L;
         c.rip <- next;
         Stepped
   | Isa.Pxor (d, s) ->
       let rs = Xmm_read s and wd = Xmm_write d in
+      let dlo = 16 * d and slo = 16 * s in
       fun c _ ->
         a1 c;
         fire c rs;
         fire c wd;
-        c.x.xmm_lo.(d) <- Int64.logxor c.x.xmm_lo.(d) c.x.xmm_lo.(s);
-        c.x.xmm_hi.(d) <- Int64.logxor c.x.xmm_hi.(d) c.x.xmm_hi.(s);
+        let img = c.x.img in
+        let lo =
+          Int64.logxor (Bytes.get_int64_le img dlo) (Bytes.get_int64_le img slo)
+        in
+        Bytes.set_int64_le img dlo lo;
+        let hi =
+          Int64.logxor
+            (Bytes.get_int64_le img (dlo + 8))
+            (Bytes.get_int64_le img (slo + 8))
+        in
+        Bytes.set_int64_le img (dlo + 8) hi;
         c.rip <- next;
         Stepped
   | Isa.Fld1 | Isa.Fldz ->
@@ -693,12 +760,13 @@ let compile_op (ins : Isa.instr) (next : int) : op =
       fun c _ ->
         a1 c;
         let a = Int64.float_of_bits (x87_pop c) in
-        if c.x.st_sp > 0 then begin
+        let x = c.x in
+        if x.st_sp > 0 then begin
           fire c X87_read;
           fire c X87_write;
-          c.x.st.(c.x.st_sp - 1) <-
-            Int64.bits_of_float
-              (a +. Int64.float_of_bits c.x.st.(c.x.st_sp - 1))
+          let top = 256 + (8 * (x.st_sp - 1)) in
+          let v = a +. Int64.float_of_bits (Bytes.get_int64_le x.img top) in
+          Bytes.set_int64_le x.img top (Int64.bits_of_float v)
         end;
         c.rip <- next;
         Stepped
@@ -709,7 +777,7 @@ let compile_op (ins : Isa.instr) (next : int) : op =
         let v = x87_pop c in
         let a = ea c in
         wcheck c mem a;
-        Mem.write_u64 mem a v;
+        store64 mem a v;
         c.rip <- next;
         Stepped
 

@@ -352,8 +352,8 @@ let verify s (lv : live) : (unit, string) result =
                 match s.log.l_events.(s.log.l_app.(p - 1)).le_ev with
                 | Esys l ->
                     if
-                      l.nr <> nr || l.args <> args || l.ret <> ret
-                      || l.cs <> cs || l.xh <> xh
+                      l.nr <> nr || l.args <> A.words args || l.ret <> ret
+                      || l.cs <> A.words cs || l.xh <> xh
                     then
                       err :=
                         Some

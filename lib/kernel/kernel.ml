@@ -36,7 +36,7 @@ let create ?(ncpus = 1) ?(cost = Sim_costs.Cost_model.default)
   let k =
     {
       cost;
-      cpus = Array.init ncpus (fun _ -> { clk = 0L; last_tid = -1 });
+      cpus = Array.init ncpus (fun _ -> { clk = 0; last_tid = -1 });
       cur_cpu = 0;
       tasks = Hashtbl.create 16;
       next_tid = 1;
@@ -48,7 +48,7 @@ let create ?(ncpus = 1) ?(cost = Sim_costs.Cost_model.default)
       programs = Hashtbl.create 4;
       actors = [];
       slice;
-      slice_end = slice;
+      slice_end = Int64.to_int slice;
       strace = None;
       tracer = None;
       metrics = None;
@@ -56,6 +56,7 @@ let create ?(ncpus = 1) ?(cost = Sim_costs.Cost_model.default)
       in_kernel = 0;
       halted = false;
       cur_task = None;
+      cur_cycles = 0;
       icache_on = icache;
       blocks_on = blocks;
       auditor = None;
@@ -125,7 +126,7 @@ let attach_metrics (k : kernel) (m : Kmetrics.t) =
   Metrics.probe r ~help:"tasks alive (any state)" "sim_tasks" (fun () ->
       Hashtbl.length k.tasks);
   Metrics.probe r ~help:"earliest per-CPU simulated clock" "sim_cycles"
-    (fun () -> Int64.to_int (global_time k));
+    (fun () -> min_clock k);
   (* Observation-integrity probes: if any of these is nonzero the
      span/trace attribution is incomplete and the gated macrobench
      must fail.  Scrape-time thunks close over [k], so they read
@@ -243,7 +244,7 @@ let attach_chaos (k : kernel) (ch : Sim_chaos.Chaos.t) = k.chaos <- Some ch
     totals measure from attach time. *)
 let attach_obs (k : kernel) (o : Sim_obs.Obs.t) =
   k.obs <- Some o;
-  Sim_obs.Obs.set_baseline o (Array.map (fun c -> c.clk) k.cpus)
+  Sim_obs.Obs.set_baseline o (clocks k)
 
 (** Attach a provenance ledger.  Observation-only like the tracer:
     recording a dispatch walks guest frames with faulting-safe reads
@@ -374,11 +375,12 @@ let make_task (k : kernel) ~mem ~comm ~affinity : task =
       sud = { sud_on = false; sud_selector = 0; sud_lo = 0; sud_len = 0 };
       filters = [];
       monitor = None;
+      pview = None;
       exit_code = 0;
       children = [];
       affinity;
       on_cpu = -1;
-      last_run = 0L;
+      last_run = 0;
       cwd = "/";
       comm;
       brk = 0x3000_0000;
@@ -391,6 +393,9 @@ let make_task (k : kernel) ~mem ~comm ~affinity : task =
       retrying = false;
     }
   in
+  (* [rdtsc] reads the clock of whichever CPU runs the task; clones
+     inherit this closure with the rest of the context. *)
+  t.ctx.now <- (fun () -> Int64.of_int (now k));
   Hashtbl.replace k.tasks tid t;
   t
 
@@ -413,7 +418,7 @@ let spawn (k : kernel) ?(comm = "a.out") ?(affinity = -1) (img : image) : task
   load_image mem img;
   let t = make_task k ~mem ~comm ~affinity in
   t.ctx.rip <- img.img_entry;
-  Cpu.poke_reg t.ctx Isa.rsp (Int64.of_int img.img_stack_top);
+  Cpu.poke_reg_int t.ctx Isa.rsp img.img_stack_top;
   t
 
 let do_exit (k : kernel) (t : task) ~code ~group =
@@ -505,11 +510,12 @@ let do_fork (k : kernel) (t : task) ~vm ~files ~sighand ~stack ~tls ~thread =
       sud = { sud_on = false; sud_selector = 0; sud_lo = 0; sud_len = 0 };
       filters = t.filters (* seccomp filters are inherited *);
       monitor = t.monitor;
+      pview = None;
       exit_code = 0;
       children = [];
       affinity = t.affinity;
       on_cpu = -1;
-      last_run = 0L;
+      last_run = 0;
       cwd = t.cwd;
       comm = t.comm;
       brk = t.brk;
@@ -536,7 +542,7 @@ let do_fork (k : kernel) (t : task) ~vm ~files ~sighand ~stack ~tls ~thread =
       t.fdt.fds;
     child.fdt <- fdt
   end;
-  if stack <> 0 then Cpu.poke_reg child.ctx Isa.rsp (i64 stack);
+  if stack <> 0 then Cpu.poke_reg_int child.ctx Isa.rsp stack;
   if tls <> 0 then child.ctx.gs_base <- tls;
   Cpu.poke_reg child.ctx Isa.rax 0L;
   t.children <- child_tid :: t.children;
@@ -577,7 +583,7 @@ let do_execve (k : kernel) (t : task) path =
       for r = 0 to 15 do
         Cpu.poke_reg t.ctx r 0L
       done;
-      Cpu.poke_reg t.ctx Isa.rsp (i64 img.img_stack_top);
+      Cpu.poke_reg_int t.ctx Isa.rsp img.img_stack_top;
       t.ctx.fs_base <- 0;
       t.ctx.gs_base <- 0;
       t.sighand <- Array.make (Defs.nsig + 1) sigaction_default;
@@ -594,15 +600,22 @@ let no_result = Int64.min_int
 
 let sockaddr_port (t : task) addr = to_i (user_read_u64 t addr)
 
+(* Charge the copy of [n] bytes between kernel and user memory. *)
+let charge_copy (k : kernel) n =
+  charge k (Sim_costs.Cost_model.copy_cost k.cost n)
+
+(* A guest timespec as cycles at 2.1 GHz. *)
+let timespec_cycles sec nsec =
+  Int64.add (Int64.mul sec 2_100_000_000L) (Int64.div (Int64.mul nsec 21L) 10L)
+
 let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
   let c = t.ctx in
-  let a1 = Cpu.peek_reg c Isa.rdi
-  and a2 = Cpu.peek_reg c Isa.rsi
-  and a3 = Cpu.peek_reg c Isa.rdx
-  and a4 = Cpu.peek_reg c Isa.r10
-  and a5 = Cpu.peek_reg c Isa.r8 in
+  let a1 = Cpu.peek_reg_int c Isa.rdi
+  and a2 = Cpu.peek_reg_int c Isa.rsi
+  and a3 = Cpu.peek_reg_int c Isa.rdx
+  and a4 = Cpu.peek_reg_int c Isa.r10
+  and a5 = Cpu.peek_reg_int c Isa.r8 in
   let cost = k.cost in
-  let charge_copy n = charge k (Sim_costs.Cost_model.copy_cost cost n) in
   match nr with
   | n when n = Defs.sys_getpid -> ok t.tgid
   | n when n = Defs.sys_gettid -> ok t.tid
@@ -612,23 +625,23 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
       t.last_run <- now k;
       ok 0
   | n when n = Defs.sys_set_tid_address ->
-      t.tid_address <- a1;
+      t.tid_address <- Cpu.peek_reg c Isa.rdi;
       ok t.tid
   | n when n = Defs.sys_set_robust_list ->
-      t.robust_list <- a1;
+      t.robust_list <- Cpu.peek_reg c Isa.rdi;
       ok 0
   | n when n = Defs.sys_getrandom ->
-      let len = to_i a2 in
+      let len = a2 in
       let b = Bytes.init len (fun _ -> Char.chr (Random.State.int k.rng 256)) in
-      user_write t (to_i a1) (Bytes.to_string b);
-      charge_copy len;
+      user_write t a1 (Bytes.to_string b);
+      charge_copy k len;
       ok len
   | n when n = Defs.sys_clock_gettime || n = Defs.sys_gettimeofday ->
       (* 2.1 GHz: ns = cycles * 10 / 21 *)
-      let ns = Int64.div (Int64.mul (now k) 10L) 21L in
-      let ptr = to_i (if n = Defs.sys_clock_gettime then a2 else a1) in
-      user_write_u64 t ptr (Int64.div ns 1_000_000_000L);
-      user_write_u64 t (ptr + 8) (Int64.rem ns 1_000_000_000L);
+      let ns = now k * 10 / 21 in
+      let ptr = if n = Defs.sys_clock_gettime then a2 else a1 in
+      user_write_u64 t ptr (i64 (ns / 1_000_000_000));
+      user_write_u64 t (ptr + 8) (i64 (ns mod 1_000_000_000));
       ok 0
   | n when n = Defs.sys_nanosleep -> (
       (* Blocking syscalls are retried by re-executing the syscall
@@ -639,18 +652,12 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
           ok 0
       | Some deadline -> Block (Wsleep deadline)
       | None ->
-          let ptr = to_i a1 in
-          let sec = user_read_u64 t ptr and nsec = user_read_u64 t (ptr + 8) in
-          let cycles =
-            Int64.add
-              (Int64.mul sec 2_100_000_000L)
-              (Int64.div (Int64.mul nsec 21L) 10L)
-          in
-          let deadline = Int64.add (now k) cycles in
+          let sec = user_read_u64 t a1 and nsec = user_read_u64 t (a1 + 8) in
+          let deadline = now k + Int64.to_int (timespec_cycles sec nsec) in
           t.sleep_until <- Some deadline;
           Block (Wsleep deadline))
   | n when n = Defs.sys_brk ->
-      let want = to_i a1 in
+      let want = a1 in
       if want = 0 then ok t.brk
       else begin
         if want > t.brk then
@@ -659,11 +666,7 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
         ok want
       end
   | n when n = Defs.sys_mmap ->
-      let addr = to_i a1
-      and len = to_i a2
-      and prot = to_i a3
-      and flags = to_i a4 in
-      let fd = to_i a5 in
+      let addr = a1 and len = a2 and prot = a3 and flags = a4 and fd = a5 in
       if len <= 0 then err Defs.einval
       else begin
         let perm = prot_to_perm prot in
@@ -677,33 +680,33 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
         (if flags land Defs.map_anonymous = 0 && fd >= 0 then
            match get_fd t fd with
            | Some { kind = Kreg of_; _ } -> (
-               match Vfs.pread of_ ~pos:(to_i (Cpu.peek_reg c Isa.r9)) len with
+               match Vfs.pread of_ ~pos:(Cpu.peek_reg_int c Isa.r9) len with
                | Ok data -> Mem.poke_bytes t.mem target data
                | Error _ -> ())
            | _ -> ());
         ok target
       end
   | n when n = Defs.sys_munmap ->
-      Mem.unmap t.mem ~addr:(to_i a1) ~len:(to_i a2);
-      charge k (cost.page_op * Mem.pages_in_range ~addr:(to_i a1) ~len:(to_i a2));
+      Mem.unmap t.mem ~addr:a1 ~len:a2;
+      charge k (cost.page_op * Mem.pages_in_range ~addr:a1 ~len:a2);
       ok 0
   | n when n = Defs.sys_mprotect ->
-      let addr = to_i a1 and len = to_i a2 in
+      let addr = a1 and len = a2 in
       if addr land (Mem.page_size - 1) <> 0 then err Defs.einval
       else begin
         charge k (cost.page_op * Mem.pages_in_range ~addr ~len);
-        match Mem.protect t.mem ~addr ~len ~perm:(prot_to_perm (to_i a3)) with
+        match Mem.protect t.mem ~addr ~len ~perm:(prot_to_perm a3) with
         | Ok () -> ok 0
         | Error `Unmapped -> err Defs.enomem
       end
   | n when n = Defs.sys_pkey_mprotect ->
-      let addr = to_i a1 and len = to_i a2 and pkey = to_i a4 in
+      let addr = a1 and len = a2 and pkey = a4 in
       if addr land (Mem.page_size - 1) <> 0 || pkey < 0 || pkey > 15 then
         err Defs.einval
       else begin
         charge k (cost.page_op * Mem.pages_in_range ~addr ~len);
         match
-          ( Mem.protect t.mem ~addr ~len ~perm:(prot_to_perm (to_i a3)),
+          ( Mem.protect t.mem ~addr ~len ~perm:(prot_to_perm a3),
             Mem.set_pkey t.mem ~addr ~len ~pkey )
         with
         | Ok (), Ok () -> ok 0
@@ -711,8 +714,7 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
       end
   | n when n = Defs.sys_open || n = Defs.sys_openat ->
       let path_ptr, flags, mode =
-        if n = Defs.sys_open then (to_i a1, to_i a2, to_i a3)
-        else (to_i a2, to_i a3, to_i a4)
+        if n = Defs.sys_open then (a1, a2, a3) else (a2, a3, a4)
       in
       let path = user_string t path_ptr in
       charge k cost.fs_op;
@@ -720,9 +722,9 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
       | Ok of_ -> ok (alloc_fd t (Kreg of_) ~flags)
       | Error e -> err e)
   | n when n = Defs.sys_close -> (
-      match close_fd k t (to_i a1) with Ok () -> ok 0 | Error e -> err e)
+      match close_fd k t a1 with Ok () -> ok 0 | Error e -> err e)
   | n when n = Defs.sys_read -> (
-      let fd = to_i a1 and buf = to_i a2 and len = to_i a3 in
+      let fd = a1 and buf = a2 and len = a3 in
       match get_fd t fd with
       | None -> if fd = 0 then ok 0 else err Defs.ebadf
       | Some e -> (
@@ -732,7 +734,7 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
               match Vfs.read of_ len with
               | Ok s ->
                   user_write t buf s;
-                  charge_copy (String.length s);
+                  charge_copy k (String.length s);
                   ok (String.length s)
               | Error er -> err er)
           | Kstream ep -> (
@@ -752,23 +754,23 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
                         | None -> -1
                       in
                       Sim_obs.Obs.claim o ~cpu:k.cur_cpu ~conn:ep.id
-                        ~tid:t.tid ~ts:(now k) ~ev
+                        ~tid:t.tid ~ts:(Int64.of_int (now k)) ~ev
                   | None -> ());
                   user_write t buf s;
-                  charge_copy (String.length s);
+                  charge_copy k (String.length s);
                   ok (String.length s)
               | `Eof -> ok 0
               | `Empty ->
                   if nonblocking e then err Defs.eagain else Block (Wread fd))
           | Klisten _ | Kepoll _ | Kunbound _ -> err Defs.einval))
   | n when n = Defs.sys_write -> (
-      let fd = to_i a1 and buf = to_i a2 and len = to_i a3 in
+      let fd = a1 and buf = a2 and len = a3 in
       match get_fd t fd with
       | None ->
           if fd = 1 || fd = 2 then begin
             let s = user_read t buf len in
             console_write s;
-            charge_copy len;
+            charge_copy k len;
             ok len
           end
           else err Defs.ebadf
@@ -777,7 +779,7 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
           | Kreg of_ -> (
               charge k cost.fs_op;
               let s = user_read t buf len in
-              charge_copy len;
+              charge_copy k len;
               match Vfs.write of_ s with Ok n -> ok n | Error er -> err er)
           | Kstream ep -> (
               charge k cost.sock_op;
@@ -793,7 +795,7 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
               else
                 let chunk = min len space in
                 let s = user_read t buf chunk in
-                charge_copy chunk;
+                charge_copy k chunk;
                 match Net.send ep s 0 chunk with
                 | Ok sent -> ok sent
                 | Error `Pipe ->
@@ -801,62 +803,62 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
                     err Defs.epipe)
           | Klisten _ | Kepoll _ | Kunbound _ -> err Defs.einval))
   | n when n = Defs.sys_lseek -> (
-      match get_fd t (to_i a1) with
+      match get_fd t a1 with
       | Some { kind = Kreg of_; _ } -> (
-          match Vfs.lseek of_ ~off:(to_i a2) ~whence:(to_i a3) with
+          match Vfs.lseek of_ ~off:a2 ~whence:a3 with
           | Ok pos -> ok pos
           | Error e -> err e)
       | Some _ -> err Defs.espipe
       | None -> err Defs.ebadf)
   | n when n = Defs.sys_stat ->
       charge k cost.fs_op;
-      let path = user_string t (to_i a1) in
+      let path = user_string t a1 in
       (match Vfs.lookup k.vfs ~cwd:t.cwd path with
       | Ok inode ->
-          write_stat t (to_i a2) inode;
+          write_stat t a2 inode;
           ok 0
       | Error e -> err e)
   | n when n = Defs.sys_fstat -> (
-      match get_fd t (to_i a1) with
+      match get_fd t a1 with
       | Some { kind = Kreg of_; _ } ->
-          write_stat t (to_i a2) of_.Vfs.inode;
+          write_stat t a2 of_.Vfs.inode;
           ok 0
       | Some _ ->
-          user_write t (to_i a2) (String.make Defs.stat_size '\000');
+          user_write t a2 (String.make Defs.stat_size '\000');
           ok 0
       | None -> err Defs.ebadf)
   | n when n = Defs.sys_mkdir ->
       charge k cost.fs_op;
-      let path = user_string t (to_i a1) in
-      (match Vfs.mkdir k.vfs ~cwd:t.cwd path ~mode:(to_i a2) with
+      let path = user_string t a1 in
+      (match Vfs.mkdir k.vfs ~cwd:t.cwd path ~mode:a2 with
       | Ok () -> ok 0
       | Error e -> err e)
   | n when n = Defs.sys_rmdir ->
       charge k cost.fs_op;
-      let path = user_string t (to_i a1) in
+      let path = user_string t a1 in
       (match Vfs.rmdir k.vfs ~cwd:t.cwd path with
       | Ok () -> ok 0
       | Error e -> err e)
   | n when n = Defs.sys_unlink ->
       charge k cost.fs_op;
-      let path = user_string t (to_i a1) in
+      let path = user_string t a1 in
       (match Vfs.unlink k.vfs ~cwd:t.cwd path with
       | Ok () -> ok 0
       | Error e -> err e)
   | n when n = Defs.sys_rename ->
       charge k cost.fs_op;
-      let src = user_string t (to_i a1) and dst = user_string t (to_i a2) in
+      let src = user_string t a1 and dst = user_string t a2 in
       (match Vfs.rename k.vfs ~cwd:t.cwd ~src ~dst with
       | Ok () -> ok 0
       | Error e -> err e)
   | n when n = Defs.sys_chmod ->
       charge k cost.fs_op;
-      let path = user_string t (to_i a1) in
-      (match Vfs.chmod k.vfs ~cwd:t.cwd path ~mode:(to_i a2) with
+      let path = user_string t a1 in
+      (match Vfs.chmod k.vfs ~cwd:t.cwd path ~mode:a2 with
       | Ok () -> ok 0
       | Error e -> err e)
   | n when n = Defs.sys_chdir ->
-      let path = user_string t (to_i a1) in
+      let path = user_string t a1 in
       (match Vfs.lookup k.vfs ~cwd:t.cwd path with
       | Ok i when Vfs.is_dir i ->
           t.cwd <- (if path.[0] = '/' then path else t.cwd ^ "/" ^ path);
@@ -864,7 +866,7 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
       | Ok _ -> err Defs.enotdir
       | Error e -> err e)
   | n when n = Defs.sys_getcwd ->
-      let buf = to_i a1 and size = to_i a2 in
+      let buf = a1 and size = a2 in
       let s = t.cwd ^ "\000" in
       if String.length s > size then err Defs.einval
       else begin
@@ -873,7 +875,7 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
       end
   | n when n = Defs.sys_getdents -> (
       (* Custom layout: 64-byte records, name[56] NUL-padded + ino u64. *)
-      match get_fd t (to_i a1) with
+      match get_fd t a1 with
       | Some { kind = Kreg of_; _ } -> (
           match of_.Vfs.inode.Vfs.node with
           | Vfs.Dir entries ->
@@ -881,7 +883,7 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
                 Hashtbl.fold (fun k' _ acc -> k' :: acc) entries []
                 |> List.sort compare
               in
-              let buf = to_i a2 and cap = to_i a3 in
+              let buf = a2 and cap = a3 in
               let nfit = min (List.length names - of_.Vfs.offset) (cap / 64) in
               if nfit <= 0 then ok 0
               else begin
@@ -899,14 +901,14 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
                     end)
                   skipped;
                 of_.Vfs.offset <- of_.Vfs.offset + nfit;
-                charge_copy (64 * nfit);
+                charge_copy k (64 * nfit);
                 ok (64 * nfit)
               end
           | Vfs.File _ | Vfs.Synth _ -> err Defs.enotdir)
       | Some _ -> err Defs.enotdir
       | None -> err Defs.ebadf)
   | n when n = Defs.sys_dup -> (
-      match get_fd t (to_i a1) with
+      match get_fd t a1 with
       | None -> err Defs.ebadf
       | Some e ->
           e.refs <- e.refs + 1;
@@ -915,13 +917,13 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
           Hashtbl.replace t.fdt.fds fd e;
           ok fd)
   | n when n = Defs.sys_fcntl -> (
-      match get_fd t (to_i a1) with
+      match get_fd t a1 with
       | None -> err Defs.ebadf
       | Some e ->
-          let cmd = to_i a2 in
+          let cmd = a2 in
           if cmd = Defs.f_getfl then ok e.fflags
           else if cmd = Defs.f_setfl then begin
-            e.fflags <- to_i a3;
+            e.fflags <- a3;
             ok 0
           end
           else err Defs.einval)
@@ -929,21 +931,21 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
       let a, b = Net.pair k.net in
       let rfd = alloc_fd t (Kstream a) ~flags:0 in
       let wfd = alloc_fd t (Kstream b) ~flags:0 in
-      user_write_u64 t (to_i a1) (i64 rfd);
-      user_write_u64 t (to_i a1 + 8) (i64 wfd);
+      user_write_u64 t a1 (i64 rfd);
+      user_write_u64 t (a1 + 8) (i64 wfd);
       ok 0
   | n when n = Defs.sys_socket -> ok (alloc_fd t (Kunbound { bound_port = None }) ~flags:0)
   | n when n = Defs.sys_bind -> (
-      match get_fd t (to_i a1) with
+      match get_fd t a1 with
       | Some ({ kind = Kunbound sp; _ } as _e) ->
-          sp.bound_port <- Some (sockaddr_port t (to_i a2));
+          sp.bound_port <- Some (sockaddr_port t a2);
           ok 0
       | Some _ -> err Defs.einval
       | None -> err Defs.ebadf)
   | n when n = Defs.sys_listen -> (
-      match get_fd t (to_i a1) with
+      match get_fd t a1 with
       | Some ({ kind = Kunbound { bound_port = Some port }; _ } as e) -> (
-          match Net.listen k.net ~port ~backlog:(max 1 (to_i a2)) with
+          match Net.listen k.net ~port ~backlog:(max 1 a2) with
           | Ok l ->
               e.kind <- Klisten l;
               ok 0
@@ -951,10 +953,10 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
       | Some _ -> err Defs.einval
       | None -> err Defs.ebadf)
   | n when n = Defs.sys_connect -> (
-      match get_fd t (to_i a1) with
+      match get_fd t a1 with
       | Some ({ kind = Kunbound _; _ } as e) -> (
           charge k cost.accept_op;
-          match Net.connect k.net ~port:(sockaddr_port t (to_i a2)) with
+          match Net.connect k.net ~port:(sockaddr_port t a2) with
           | Ok ep ->
               e.kind <- Kstream ep;
               ok 0
@@ -962,14 +964,14 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
       | Some _ -> err Defs.einval
       | None -> err Defs.ebadf)
   | n when n = Defs.sys_accept || n = Defs.sys_accept4 -> (
-      let fd = to_i a1 in
+      let fd = a1 in
       match get_fd t fd with
       | Some ({ kind = Klisten l; _ } as e) -> (
           charge k cost.accept_op;
           match Net.accept l with
           | Some ep ->
               let flags =
-                if n = Defs.sys_accept4 then to_i a4 land Defs.o_nonblock
+                if n = Defs.sys_accept4 then a4 land Defs.o_nonblock
                 else 0
               in
               ok (alloc_fd t (Kstream ep) ~flags)
@@ -978,17 +980,17 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
       | Some _ -> err Defs.einval
       | None -> err Defs.ebadf)
   | n when n = Defs.sys_shutdown -> (
-      match get_fd t (to_i a1) with
+      match get_fd t a1 with
       | Some { kind = Kstream ep; _ } ->
           Net.close_endpoint ep;
           ok 0
       | Some _ -> err Defs.enotsock
       | None -> err Defs.ebadf)
   | n when n = Defs.sys_sendfile -> (
-      let out_fd = to_i a1
-      and in_fd = to_i a2
-      and off_ptr = to_i a3
-      and count = to_i a4 in
+      let out_fd = a1
+      and in_fd = a2
+      and off_ptr = a3
+      and count = a4 in
       match (get_fd t out_fd, get_fd t in_fd) with
       | Some ({ kind = Kstream ep; _ } as oe), Some { kind = Kreg of_; _ } -> (
           charge k (cost.sock_op + cost.fs_op);
@@ -1011,7 +1013,7 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
             | Error e -> err e
             | Ok data -> (
                 (* sendfile's raison d'etre: one copy instead of two *)
-                charge_copy (String.length data);
+                charge_copy k (String.length data);
                 match Net.send ep data 0 (String.length data) with
                 | Ok sent ->
                     if off_ptr <> 0 then
@@ -1025,16 +1027,16 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
   | n when n = Defs.sys_epoll_create || n = Defs.sys_epoll_create1 ->
       ok (alloc_fd t (Kepoll { interest = Hashtbl.create 8 }) ~flags:0)
   | n when n = Defs.sys_epoll_ctl -> (
-      match get_fd t (to_i a1) with
+      match get_fd t a1 with
       | Some { kind = Kepoll ep; _ } ->
-          let op = to_i a2 and fd = to_i a3 in
+          let op = a2 and fd = a3 in
           charge k cost.epoll_op;
           if op = Defs.epoll_ctl_del then begin
             Hashtbl.remove ep.interest fd;
             ok 0
           end
           else begin
-            let evp = to_i a4 in
+            let evp = a4 in
             let events = to_i (user_read_u64 t evp) in
             let data = user_read_u64 t (evp + 8) in
             Hashtbl.replace ep.interest fd (events, data);
@@ -1043,10 +1045,10 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
       | Some _ -> err Defs.einval
       | None -> err Defs.ebadf)
   | n when n = Defs.sys_epoll_wait -> (
-      let epfd = to_i a1
-      and events_ptr = to_i a2
-      and maxev = to_i a3
-      and timeout = to_i a4 in
+      let epfd = a1
+      and events_ptr = a2
+      and maxev = a3
+      and timeout = a4 in
       match get_fd t epfd with
       | Some { kind = Kepoll ep; _ } -> (
           charge k cost.epoll_op;
@@ -1066,10 +1068,7 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
                 | Some _ -> Block (Wepoll epfd)
                 | None ->
                     if timeout > 0 then
-                      t.sleep_until <-
-                        Some
-                          (Int64.add (now k)
-                             (Int64.mul (i64 timeout) 2_100_000L));
+                      t.sleep_until <- Some (now k + (timeout * 2_100_000));
                     Block (Wepoll epfd))
           | _ ->
               t.sleep_until <- None;
@@ -1084,7 +1083,7 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
       | Some _ -> err Defs.einval
       | None -> err Defs.ebadf)
   | n when n = Defs.sys_rt_sigaction ->
-      let sig_ = to_i a1 and act_ptr = to_i a2 and old_ptr = to_i a3 in
+      let sig_ = a1 and act_ptr = a2 and old_ptr = a3 in
       if sig_ < 1 || sig_ > Defs.nsig || sig_ = Defs.sigkill
          || sig_ = Defs.sigstop
       then err Defs.einval
@@ -1106,7 +1105,7 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
         ok 0
       end
   | n when n = Defs.sys_rt_sigprocmask ->
-      let how = to_i a1 and set_ptr = to_i a2 and old_ptr = to_i a3 in
+      let how = a1 and set_ptr = a2 and old_ptr = a3 in
       if old_ptr <> 0 then user_write_u64 t old_ptr t.sigmask;
       if set_ptr <> 0 then begin
         let set = user_read_u64 t set_ptr in
@@ -1121,7 +1120,7 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
       Ksignal.sigreturn k t;
       Ret no_result
   | n when n = Defs.sys_kill ->
-      let pid = to_i a1 and sig_ = to_i a2 in
+      let pid = a1 and sig_ = a2 in
       let found = ref false in
       Hashtbl.iter
         (fun _ u ->
@@ -1135,9 +1134,9 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
         k.tasks;
       if !found then ok 0 else err 3 (* ESRCH *)
   | n when n = Defs.sys_tgkill -> (
-      match find_task k (to_i a2) with
+      match find_task k a2 with
       | Some u when u.state <> Zombie ->
-          if to_i a3 <> 0 then Ksignal.post k u (to_i a3);
+          if a3 <> 0 then Ksignal.post k u a3;
           ok 0
       | _ -> err 3)
   | n when n = Defs.sys_fork || n = Defs.sys_vfork ->
@@ -1147,8 +1146,8 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
       in
       ok child.tid
   | n when n = Defs.sys_clone ->
-      let flags = to_i a1 and stack = to_i a2 in
-      let tls = to_i a5 in
+      let flags = a1 and stack = a2 in
+      let tls = a5 in
       let vm = flags land Defs.clone_vm <> 0 in
       let child =
         do_fork k t ~vm ~files:(flags land Defs.clone_files <> 0)
@@ -1159,16 +1158,16 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
       in
       ok child.tid
   | n when n = Defs.sys_execve ->
-      let path = user_string t (to_i a1) in
+      let path = user_string t a1 in
       do_execve k t path
   | n when n = Defs.sys_exit ->
-      do_exit k t ~code:(to_i a1) ~group:false;
+      do_exit k t ~code:a1 ~group:false;
       Ret no_result
   | n when n = Defs.sys_exit_group ->
-      do_exit k t ~code:(to_i a1) ~group:true;
+      do_exit k t ~code:a1 ~group:true;
       Ret no_result
   | n when n = Defs.sys_wait4 -> (
-      let pid = to_i a1 and status_ptr = to_i a2 in
+      let pid = a1 and status_ptr = a2 in
       match find_zombie_child k t ~pid with
       | Some child ->
           if status_ptr <> 0 then
@@ -1179,14 +1178,14 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
       | None ->
           if t.children = [] then err Defs.echild else Block (Wchild pid))
   | n when n = Defs.sys_prctl ->
-      let op = to_i a1 in
+      let op = a1 in
       if op = Defs.pr_set_syscall_user_dispatch then begin
-        let mode = to_i a2 in
+        let mode = a2 in
         if mode = Defs.pr_sys_dispatch_on then begin
           t.sud.sud_on <- true;
-          t.sud.sud_lo <- to_i a3;
-          t.sud.sud_len <- to_i a4;
-          t.sud.sud_selector <- to_i a5;
+          t.sud.sud_lo <- a3;
+          t.sud.sud_len <- a4;
+          t.sud.sud_selector <- a5;
           ok 0
         end
         else begin
@@ -1196,31 +1195,31 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
       end
       else err Defs.einval
   | n when n = Defs.sys_arch_prctl ->
-      let op = to_i a1 in
+      let op = a1 in
       if op = Defs.arch_set_gs then begin
-        t.ctx.gs_base <- to_i a2;
+        t.ctx.gs_base <- a2;
         ok 0
       end
       else if op = Defs.arch_set_fs then begin
-        t.ctx.fs_base <- to_i a2;
+        t.ctx.fs_base <- a2;
         ok 0
       end
       else if op = Defs.arch_get_gs then begin
-        user_write_u64 t (to_i a2) (i64 t.ctx.gs_base);
+        user_write_u64 t a2 (i64 t.ctx.gs_base);
         ok 0
       end
       else if op = Defs.arch_get_fs then begin
-        user_write_u64 t (to_i a2) (i64 t.ctx.fs_base);
+        user_write_u64 t a2 (i64 t.ctx.fs_base);
         ok 0
       end
       else err Defs.einval
   | n when n = Defs.sys_seccomp ->
-      let op = to_i a1 in
+      let op = a1 in
       if op <> Defs.seccomp_set_mode_filter then err Defs.einval
       else begin
         (* sock_fprog: len u64 @0, insns ptr u64 @8; each insn is
            code u16, jt u8, jf u8, k u32. *)
-        let fprog = to_i a3 in
+        let fprog = a3 in
         let len = to_i (user_read_u64 t fprog) in
         let insns_ptr = to_i (user_read_u64 t (fprog + 8)) in
         let raw = user_read t insns_ptr (8 * len) in
@@ -1248,7 +1247,7 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
         | exception Bpf.Invalid_program _ -> err Defs.einval
       end
   | n when n = Defs.sys_futex -> (
-      let addr = to_i a1 and op = to_i a2 land 0x7F and v = to_i a3 in
+      let addr = a1 and op = a2 land 0x7F and v = a3 in
       match op with
       | op when op = Defs.futex_wait -> (
           (* Like nanosleep, a timed wait is retried by re-execution
@@ -1269,16 +1268,12 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
               let cur = to_i (user_read_u64 t addr) in
               if cur <> v then err Defs.eagain
               else begin
-                let tsp = to_i a4 in
+                let tsp = a4 in
                 if tsp <> 0 then begin
                   let sec = user_read_u64 t tsp
                   and nsec = user_read_u64 t (tsp + 8) in
-                  let cycles =
-                    Int64.add
-                      (Int64.mul sec 2_100_000_000L)
-                      (Int64.div (Int64.mul nsec 21L) 10L)
-                  in
-                  t.sleep_until <- Some (Int64.add (now k) cycles)
+                  t.sleep_until <-
+                    Some (now k + Int64.to_int (timespec_cycles sec nsec))
                 end;
                 Block (Wfutex addr)
               end)
@@ -1343,13 +1338,20 @@ let seccomp_verdict (k : kernel) (t : task) nr : int =
       else best)
     Defs.seccomp_ret_allow t.filters
 
-let make_ptrace_view (t : task) : ptrace_view =
-  {
-    pv_task = t;
-    pv_get_reg = (fun r -> Cpu.peek_reg t.ctx r);
-    pv_set_reg = (fun r v -> Cpu.poke_reg t.ctx r v);
-    pv_read_mem = (fun addr len -> Mem.peek_bytes t.mem addr len);
-  }
+let ptrace_view (t : task) : ptrace_view =
+  match t.pview with
+  | Some pv -> pv
+  | None ->
+      let pv =
+        {
+          pv_task = t;
+          pv_get_reg = (fun r -> Cpu.peek_reg t.ctx r);
+          pv_set_reg = (fun r v -> Cpu.poke_reg t.ctx r v);
+          pv_read_mem = (fun addr len -> Mem.peek_bytes t.mem addr len);
+        }
+      in
+      t.pview <- Some pv;
+      pv
 
 let ptrace_stop_cost (k : kernel) (m : monitor) =
   charge k (2 * k.cost.context_switch);
@@ -1415,7 +1417,7 @@ let recover_site (t : task) ~path : int =
     | v -> Some (Int64.to_int v - 2)
     | exception Mem.Fault _ -> None
   in
-  let rsp = Int64.to_int (Cpu.peek_reg c Isa.rsp) in
+  let rsp = Cpu.peek_reg_int c Isa.rsp in
   let candidates =
     match path with
     | Ev.Direct | Ev.Ptrace_path -> [ Some (c.rip - 2) ]
@@ -1445,10 +1447,10 @@ let prov_record (k : kernel) (t : task) ~nr ~path ~ts0 =
         | Some a -> Sim_audit.Audit.app_count a + 1
         | None -> -1
       in
-      let cycles = Int64.sub (now k) ts0 in
+      let cycles = Int64.of_int (now k - ts0) in
       Sim_obs.Provenance.record p ~mem:t.mem ~site ~nr ~path
-        ~rbp:(Int64.to_int (Cpu.peek_reg c Isa.rbp))
-        ~cycles ~now:(now k) ~ev;
+        ~rbp:(Cpu.peek_reg_int c Isa.rbp)
+        ~cycles ~now:(Int64.of_int (now k)) ~ev;
       (* With the span recorder also attached, the request being
          served on this CPU learns its per-site kernel cycles — how
          exemplars name the hottest call site of their window. *)
@@ -1486,7 +1488,7 @@ let policy_gate (k : kernel) (t : task) ~nr ~path : Policy.t option =
 
 let syscall_entry (k : kernel) (t : task) =
   let c = t.ctx in
-  let nr = Int64.to_int (Cpu.peek_reg c Isa.rax) in
+  let nr = Cpu.peek_reg_int c Isa.rax in
   let ts0 = now k in
   (* Cycles charged from here until the next guest instruction are
      kernel time for the profiler; the flag is reset before every
@@ -1507,8 +1509,8 @@ let syscall_entry (k : kernel) (t : task) =
       if insn_addr >= t.sud.sud_lo && insn_addr < t.sud.sud_lo + t.sud.sud_len
       then false
       else
-        match Mem.peek_bytes t.mem t.sud.sud_selector 1 with
-        | s -> Char.code s.[0] = Defs.syscall_dispatch_filter_block
+        match Mem.peek_u8 t.mem t.sud.sud_selector with
+        | b -> b = Defs.syscall_dispatch_filter_block
         | exception Mem.Fault _ ->
             (* An unreadable selector kills the task, as on Linux. *)
             Ksignal.kill_task_group k t ~code:(128 + Defs.sigsegv);
@@ -1536,10 +1538,10 @@ let syscall_entry (k : kernel) (t : task) =
     (match t.monitor with
     | Some m ->
         ptrace_stop_cost k m;
-        m.on_entry (make_ptrace_view t)
+        m.on_entry (ptrace_view t)
     | None -> ());
     (* The tracer may have rewritten the syscall number. *)
-    let nr = Int64.to_int (Cpu.peek_reg c Isa.rax) in
+    let nr = Cpu.peek_reg_int c Isa.rax in
     (match k.obs with
     | Some o -> Sim_obs.Obs.set_cur_nr o k.cur_cpu nr
     | None -> ());
@@ -1547,8 +1549,8 @@ let syscall_entry (k : kernel) (t : task) =
        callee-saved state are captured on the way out. *)
     let aud_args =
       match k.auditor with
-      | Some _ -> Array.map (fun r -> Cpu.peek_reg c r) arg_regs
-      | None -> [||]
+      | Some _ -> Cpu.pack_regs c arg_regs
+      | None -> ""
     in
     (* 3. seccomp *)
     let verdict =
@@ -1571,9 +1573,9 @@ let syscall_entry (k : kernel) (t : task) =
     else if action = Defs.seccomp_ret_errno then begin
       charge k k.cost.syscall_abort;
       let e = verdict land Defs.seccomp_ret_data in
-      Cpu.poke_reg c Isa.rax (i64 (-e));
+      Cpu.poke_reg_int c Isa.rax (-e);
       if k.tracer <> None then begin
-        trace_emit_at k ~ts:ts0
+        trace_emit_at k ~ts:(Int64.of_int ts0)
           (Ev.Syscall_enter { nr; path = Ev.Seccomp_path });
         trace_emit k
           (Ev.Syscall_exit
@@ -1582,7 +1584,7 @@ let syscall_entry (k : kernel) (t : task) =
       (match k.metrics with
       | Some m ->
           Kmetrics.count_syscall m ~nr ~path:Ev.Seccomp_path;
-          Kmetrics.observe_latency m (Int64.to_int (Int64.sub (now k) ts0))
+          Kmetrics.observe_latency m (now k - ts0)
       | None -> ());
       (* The application observes this dispatch (a -errno result), so
          the policy state machine must see it too; seccomp already
@@ -1614,7 +1616,8 @@ let syscall_entry (k : kernel) (t : task) =
               else if t.filters <> [] then Ev.Seccomp_path
               else Ev.Direct
       in
-      if tracing then trace_emit_at k ~ts:ts0 (Ev.Syscall_enter { nr; path });
+      if tracing then
+        trace_emit_at k ~ts:(Int64.of_int ts0) (Ev.Syscall_enter { nr; path });
       (match k.metrics with
       | Some m -> Kmetrics.count_syscall m ~nr ~path
       | None -> ());
@@ -1658,7 +1661,7 @@ let syscall_entry (k : kernel) (t : task) =
       in
       (match k.metrics with
       | Some m ->
-          Kmetrics.observe_latency m (Int64.to_int (Int64.sub (now k) ts0))
+          Kmetrics.observe_latency m (now k - ts0)
       | None -> ());
       (match res with
       | Ret v when v = no_result -> ()
@@ -1666,8 +1669,8 @@ let syscall_entry (k : kernel) (t : task) =
           t.retrying <- false;
           Cpu.poke_reg c Isa.rax v;
           (* The kernel clobbers rcx and r11 (sysret ABI). *)
-          Cpu.poke_reg c Isa.rcx (i64 c.rip);
-          Cpu.poke_reg c Isa.r11 (Ksignal.flags_word c)
+          Cpu.poke_reg_int c Isa.rcx c.rip;
+          Cpu.poke_reg_int c Isa.r11 (Ksignal.flags_word c)
       | Block reason ->
           (* Rewind to the syscall instruction; it is retried on
              wakeup. *)
@@ -1697,7 +1700,7 @@ let syscall_entry (k : kernel) (t : task) =
       (match t.monitor with
       | Some m when t.state <> Zombie ->
           ptrace_stop_cost k m;
-          m.on_exit (make_ptrace_view t)
+          m.on_exit (ptrace_view t)
       | _ -> ());
       (* Audit after the exit stop so a ptrace monitor's result
          rewrite (if any) is what gets recorded — the application
@@ -1774,7 +1777,7 @@ let kernel_syscall (k : kernel) (t : task) nr (args : int64 array) : int64 =
   charge k k.cost.syscall_base;
   if t.sud.sud_on then charge k k.cost.sud_check;
   let c = t.ctx in
-  let saved = Array.map (fun r -> Cpu.peek_reg c r) arg_regs in
+  let saved = Cpu.pack_regs c arg_regs in
   Array.iteri
     (fun i r ->
       Cpu.poke_reg c r (if i < Array.length args then args.(i) else 0L))
@@ -1783,7 +1786,7 @@ let kernel_syscall (k : kernel) (t : task) nr (args : int64 array) : int64 =
     if nr < 0 || nr > Defs.max_syscall then Ret (i64 (-Defs.enosys))
     else try do_syscall k t nr with Efault -> Ret (i64 (-Defs.efault))
   in
-  Array.iteri (fun i r -> Cpu.poke_reg c r saved.(i)) arg_regs;
+  Cpu.unpack_regs c arg_regs saved;
   (match k.obs with
   | Some o -> Sim_obs.Obs.set_cur_nr o k.cur_cpu saved_nr
   | None -> ());
@@ -1796,14 +1799,15 @@ let kernel_syscall (k : kernel) (t : task) nr (args : int64 array) : int64 =
          they must not consume the dispatch-path tag staged for the
          application syscall they serve. *)
       if k.tracer <> None then begin
-        trace_emit_at k ~ts:ts0 (Ev.Syscall_enter { nr; path = Ev.Direct });
+        trace_emit_at k ~ts:(Int64.of_int ts0)
+          (Ev.Syscall_enter { nr; path = Ev.Direct });
         trace_emit k
           (Ev.Syscall_exit { nr; path = Ev.Direct; ret = v; blocked = false })
       end;
       (match k.metrics with
       | Some m ->
           Kmetrics.count_syscall m ~nr ~path:Ev.Direct;
-          Kmetrics.observe_latency m (Int64.to_int (Int64.sub (now k) ts0))
+          Kmetrics.observe_latency m (now k - ts0)
       | None -> ());
       (* Mechanism-private by definition: this syscall exists only
          because of how the interposer is implemented (gs-area mmap,
@@ -1811,8 +1815,9 @@ let kernel_syscall (k : kernel) (t : task) nr (args : int64 array) : int64 =
       (match k.auditor with
       | Some a ->
           let args6 =
-            Array.init 6 (fun i ->
-                if i < Array.length args then args.(i) else 0L)
+            Sim_audit.Audit.pack
+              (Array.init 6 (fun i ->
+                   if i < Array.length args then args.(i) else 0L))
           in
           Sim_audit.Audit.record_syscall a ~tid:t.tid
             ~scope:Sim_audit.Audit.Mech ~nr ~args:args6 ~ret:(Some v)
@@ -1841,7 +1846,7 @@ let reap_wakeups (k : kernel) =
                application's observable history — record it like any
                other result (the arg registers are untouched since
                dispatch; rax still holds the syscall number). *)
-            let nr = to_i (Cpu.peek_reg t.ctx Isa.rax) in
+            let nr = Cpu.peek_reg_int t.ctx Isa.rax in
             let path =
               match t.trace_path with Some p -> p | None -> Ev.Direct
             in
@@ -1849,13 +1854,11 @@ let reap_wakeups (k : kernel) =
             t.sleep_until <- None;
             t.retrying <- false;
             t.ctx.rip <- t.ctx.rip + 2;
-            Cpu.poke_reg t.ctx Isa.rax (i64 (-Defs.eintr));
+            Cpu.poke_reg_int t.ctx Isa.rax (-Defs.eintr);
             t.state <- Runnable;
             match k.auditor with
             | Some _ ->
-                let args =
-                  Array.map (fun r -> Cpu.peek_reg t.ctx r) arg_regs
-                in
+                let args = Cpu.pack_regs t.ctx arg_regs in
                 audit_syscall k t ~nr ~args
                   ~ret:(Some (i64 (-Defs.eintr)))
                   ~path
@@ -1874,7 +1877,7 @@ let reap_wakeups (k : kernel) =
                 Int64.logand t.sighand.(s).sa_flags (i64 Defs.sa_restart)
                 <> 0L
                 && Defs.syscall_restartable
-                     (to_i (Cpu.peek_reg t.ctx Isa.rax))
+                     (Cpu.peek_reg_int t.ctx Isa.rax)
               in
               if restart then t.state <- Runnable else wake_eintr ()
           | None ->
@@ -1888,7 +1891,7 @@ let reap_wakeups (k : kernel) =
                        retry distinguishes them (ready list vs return
                        0). *)
                     (match t.sleep_until with
-                    | Some deadline -> global_time k >= deadline
+                    | Some deadline -> min_clock k >= deadline
                     | None -> false)
                     ||
                     match get_fd t epfd with
@@ -1896,12 +1899,12 @@ let reap_wakeups (k : kernel) =
                         epoll_ready_list t ep <> []
                     | _ -> true)
                 | Wchild pid -> find_zombie_child k t ~pid <> None
-                | Wsleep until -> global_time k >= until
+                | Wsleep until -> min_clock k >= until
                 | Wfutex _ -> (
                     (* woken directly by FUTEX_WAKE, or by an expired
                        timeout (the retry reports ETIMEDOUT) *)
                     match t.sleep_until with
-                    | Some deadline -> global_time k >= deadline
+                    | Some deadline -> min_clock k >= deadline
                     | None -> false)
               in
               if ready then t.state <- Runnable)
@@ -1968,7 +1971,9 @@ let run_task (k : kernel) (t : task) =
   t.last_run <- slot.clk;
   k.cur_task <- Some t;
   (match k.obs with
-  | Some o -> Sim_obs.Obs.task_on o ~cpu:k.cur_cpu ~tid:t.tid ~ts:slot.clk
+  | Some o ->
+      Sim_obs.Obs.task_on o ~cpu:k.cur_cpu ~tid:t.tid
+        ~ts:(Int64.of_int slot.clk)
   | None -> ());
   if switched then begin
     trace_emit k (Ev.Context_switch { prev_tid; next_tid = t.tid });
@@ -1980,7 +1985,6 @@ let run_task (k : kernel) (t : task) =
     | None -> ()
   end;
   if observing k then install_observe_hooks k t;
-  t.ctx.now <- (fun () -> k.cpus.(k.cur_cpu).clk);
   let cost = k.cost in
   let engine = k.blocks_on && k.icache_on in
   (* Chaos preemption: a fired decision ends this task's turn at the
@@ -1994,18 +1998,21 @@ let run_task (k : kernel) (t : task) =
      exit phase bulk-charges (clock and task-cycle sums are
      identical, and nothing else can observe the clock mid-block:
      blocks contain no syscalls, traps or rdtsc). *)
+  let charge_units u = charge k (cost.insn * u) in
   let per_op =
-    match k.profiler with
-    | Some _ -> Some (fun u -> charge k (cost.insn * u))
-    | None -> None
+    match k.profiler with Some _ -> Some charge_units | None -> None
   in
   let chaos_cb =
     match k.chaos with
     | Some ch ->
         Some
           (fun () ->
-            Sim_chaos.Chaos.preempt_injection ch ~tid:t.tid
-              ~rip:t.ctx.Cpu.rip ~sig_depth:t.sig_depth)
+            let p =
+              Sim_chaos.Chaos.preempt_injection ch ~tid:t.tid
+                ~rip:t.ctx.Cpu.rip ~sig_depth:t.sig_depth
+            in
+            if p then preempted := true;
+            p)
     | None -> None
   in
   (* Units of [last_cost] the block runner may start: op i runs iff
@@ -2013,13 +2020,9 @@ let run_task (k : kernel) (t : task) =
      [cost.insn * acc < slice_end - clk] — exactly the single-step
      loop's per-instruction [clk < slice_end] pre-check. *)
   let budget_units () =
-    let d = Int64.sub k.slice_end slot.clk in
+    let d = k.slice_end - slot.clk in
     let ci = cost.insn in
-    if ci <= 0 then max_int
-    else if ci = 1 then Int64.to_int d
-    else
-      Int64.to_int
-        (Int64.div (Int64.add d (Int64.of_int (ci - 1))) (Int64.of_int ci))
+    if ci <= 0 then max_int else if ci = 1 then d else (d + ci - 1) / ci
   in
   (try
      while
@@ -2055,16 +2058,11 @@ let run_task (k : kernel) (t : task) =
          let oc =
            match hit with
            | Icache.Block (blk, i0) ->
-               let oc, bulk, pre =
-                 Cpu.run_block t.ctx t.mem blk i0
-                   ~budget:(budget_units ()) ~per_op ~chaos:chaos_cb
-               in
-               (* Exit-block: one bulk charge for everything the
-                  runner retired (zero when a profiler forced the
-                  per-op path). *)
-               if bulk > 0 then charge k (cost.insn * bulk);
-               if pre then preempted := true;
-               oc
+               (* Exit-block: the runner makes one bulk charge for
+                  everything it retired (none when a profiler forced
+                  the per-op path). *)
+               Cpu.run_block t.ctx t.mem blk i0 ~budget:(budget_units ())
+                 ~per_op ~bulk:charge_units ~chaos:chaos_cb
            | Icache.Entry _ | Icache.Miss -> Cpu.step_hit t.ctx t.mem hit
          in
          (match oc with
@@ -2076,15 +2074,16 @@ let run_task (k : kernel) (t : task) =
              syscall_entry k t
          | Cpu.Trap_hypercall n -> (
              charge k cost.insn;
-             match Hashtbl.find_opt k.hypercalls n with
-             | Some f -> f k t
-             | None ->
+             match Hashtbl.find k.hypercalls n with
+             | f -> f k t
+             | exception Not_found ->
                  (* An unregistered hypercall is an illegal
                     instruction (UD2 semantics). *)
                  Ksignal.force k t Defs.sigill
                    { si_signo = Defs.sigill; si_code = 0;
                      si_call_addr = t.ctx.rip; si_syscall = 0 })
-         | Cpu.Halted -> do_exit k t ~code:(to_i (Cpu.peek_reg t.ctx Isa.rdi)) ~group:true
+         | Cpu.Halted ->
+             do_exit k t ~code:(Cpu.peek_reg_int t.ctx Isa.rdi) ~group:true
          | Cpu.Trap_breakpoint ->
              Ksignal.force k t 5 (* SIGTRAP *)
                { si_signo = 5; si_code = 0; si_call_addr = t.ctx.rip;
@@ -2124,8 +2123,11 @@ let run_task (k : kernel) (t : task) =
   (match k.obs with
   | Some o ->
       let blocked = match t.state with Blocked _ -> true | _ -> false in
-      Sim_obs.Obs.task_off o ~cpu:k.cur_cpu ~tid:t.tid ~ts:slot.clk ~blocked
+      Sim_obs.Obs.task_off o ~cpu:k.cur_cpu ~tid:t.tid
+        ~ts:(Int64.of_int slot.clk) ~blocked
   | None -> ());
+  t.tcycles <- Int64.add t.tcycles (Int64.of_int k.cur_cycles);
+  k.cur_cycles <- 0;
   k.cur_task <- None;
   t.on_cpu <- -1
 
@@ -2160,7 +2162,7 @@ let run_slice (k : kernel) =
   done;
   if not k.halted then begin
     List.iter (fun step -> step ()) k.actors;
-    k.slice_end <- Int64.add k.slice_end k.slice
+    k.slice_end <- k.slice_end + Int64.to_int k.slice
   end
 
 let all_exited (k : kernel) =
@@ -2181,7 +2183,7 @@ let run_until_exit ?(max_slices = 2_000_000) (k : kernel) =
 
 (** Run for [cycles] simulated cycles (per CPU). *)
 let run_for (k : kernel) (cycles : int64) =
-  let target = Int64.add (global_time k) cycles in
-  while global_time k < target && (not (all_exited k)) && not k.halted do
+  let target = min_clock k + Int64.to_int cycles in
+  while min_clock k < target && (not (all_exited k)) && not k.halted do
     run_slice k
   done

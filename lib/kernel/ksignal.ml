@@ -70,10 +70,7 @@ let kill_task_group (k : kernel) (t : task) ~code =
     victims
 
 let flags_word (c : Cpu.t) =
-  Int64.of_int
-    ((if c.zf then 1 else 0)
-    lor (if c.sf then 2 else 0)
-    lor if c.cf then 4 else 0)
+  (if c.zf then 1 else 0) lor (if c.sf then 2 else 0) lor if c.cf then 4 else 0
 
 let set_flags_word (c : Cpu.t) (v : int64) =
   let v = Int64.to_int v in
@@ -124,34 +121,36 @@ let push_frame (k : kernel) (t : task) (sig_ : int) (info : sig_info) =
       Sim_audit.Audit.record_signal a ~tid:t.tid ~signo:sig_ ~mech
   | None -> ());
   t.sig_depth <- t.sig_depth + 1;
-  let sp = Int64.to_int (Cpu.peek_reg c Isa.rsp) in
+  let sp = Cpu.peek_reg_int c Isa.rsp in
   let f = (sp - redzone - frame_size) land lnot 15 in
+  let uc = f + 40 in
   (try
      (* The kernel writes the frame regardless of page protections
-        (it is the kernel); an unmapped stack is a fatal fault. *)
+        (it is the kernel), in ascending address order; an unmapped
+        stack is a fatal fault.  The GPR block and the xstate are one
+        blit each. *)
      Mem.poke_u64 t.mem (f + 0) act.sa_restorer;
      Mem.poke_u64 t.mem (f + 8) (Int64.of_int info.si_signo);
      Mem.poke_u64 t.mem (f + 16) (Int64.of_int info.si_code);
      Mem.poke_u64 t.mem (f + 24) (Int64.of_int info.si_call_addr);
      Mem.poke_u64 t.mem (f + 32) (Int64.of_int info.si_syscall);
-     for r = 0 to 15 do
-       Mem.poke_u64 t.mem (f + 40 + (8 * r)) (Cpu.peek_reg c r)
-     done;
-     Mem.poke_u64 t.mem (f + 40 + uc_rip_off) (Int64.of_int c.rip);
-     Mem.poke_u64 t.mem (f + 40 + uc_flags_off) (flags_word c);
-     Mem.poke_u64 t.mem (f + 40 + uc_mask_off) t.sigmask;
+     Mem.poke_from t.mem uc c.regs 0 Cpu.gpr_bytes;
+     Mem.poke_u64 t.mem (uc + uc_rip_off) (Int64.of_int c.rip);
+     Mem.poke_u64 t.mem (uc + uc_flags_off)
+       (Int64.of_int (flags_word c));
+     Mem.poke_u64 t.mem (uc + uc_mask_off) t.sigmask;
      (* xstate (and PKRU, which lives in xstate on real parts) is
         saved with kernel privilege as well. *)
-     Mem.poke_bytes t.mem (f + 40 + uc_xstate_off) (Cpu.xstate_to_bytes c.x);
-     Mem.poke_u64 t.mem (f + 40 + uc_pkru_off) (Int64.of_int c.pkru)
+     Cpu.xstate_save c.x t.mem (uc + uc_xstate_off);
+     Mem.poke_u64 t.mem (uc + uc_pkru_off) (Int64.of_int c.pkru)
    with Mem.Fault _ ->
      kill_task_group k t ~code:(128 + Defs.sigsegv);
      raise (Killed_by_signal (t, Defs.sigsegv)));
   (* Enter the handler. *)
-  Cpu.poke_reg c Isa.rsp (Int64.of_int f);
-  Cpu.poke_reg c Isa.rdi (Int64.of_int sig_);
-  Cpu.poke_reg c Isa.rsi (Int64.of_int (f + 8));
-  Cpu.poke_reg c Isa.rdx (Int64.of_int (f + 40));
+  Cpu.poke_reg_int c Isa.rsp f;
+  Cpu.poke_reg_int c Isa.rdi sig_;
+  Cpu.poke_reg_int c Isa.rsi (f + 8);
+  Cpu.poke_reg_int c Isa.rdx uc;
   c.rip <- Int64.to_int act.sa_handler;
   (* SA_NODEFER: leave the signal itself deliverable while its handler
      runs (sa_mask still applies). *)
@@ -244,16 +243,13 @@ let sigreturn (k : kernel) (t : task) : unit =
   | None -> ());
   t.sig_depth <- max 0 (t.sig_depth - 1);
   let c = t.ctx in
-  let f = Int64.to_int (Cpu.peek_reg c Isa.rsp) - 8 in
+  let uc = Cpu.peek_reg_int c Isa.rsp - 8 + 40 in
   try
-    for r = 0 to 15 do
-      Cpu.poke_reg c r (Mem.peek_u64 t.mem (f + 40 + (8 * r)))
-    done;
-    c.rip <- Int64.to_int (Mem.peek_u64 t.mem (f + 40 + uc_rip_off));
-    set_flags_word c (Mem.peek_u64 t.mem (f + 40 + uc_flags_off));
-    t.sigmask <- Mem.peek_u64 t.mem (f + 40 + uc_mask_off);
-    let xs = Mem.peek_bytes t.mem (f + 40 + uc_xstate_off) Cpu.xstate_bytes in
-    Cpu.xstate_of_bytes c.x xs;
-    c.pkru <- Int64.to_int (Mem.peek_u64 t.mem (f + 40 + uc_pkru_off)) land 0xFFFF
+    Mem.peek_into t.mem uc c.regs 0 Cpu.gpr_bytes;
+    c.rip <- Int64.to_int (Mem.peek_u64 t.mem (uc + uc_rip_off));
+    set_flags_word c (Mem.peek_u64 t.mem (uc + uc_flags_off));
+    t.sigmask <- Mem.peek_u64 t.mem (uc + uc_mask_off);
+    Cpu.xstate_load c.x t.mem (uc + uc_xstate_off);
+    c.pkru <- Int64.to_int (Mem.peek_u64 t.mem (uc + uc_pkru_off)) land 0xFFFF
   with Mem.Fault _ ->
     kill_task_group k t ~code:(128 + Defs.sigsegv)

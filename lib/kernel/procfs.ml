@@ -28,13 +28,13 @@ let state_name (t : task) =
   | Blocked _ -> "S (sleeping)"
   | Zombie -> "Z (zombie)"
 
-let status (t : task) =
+let status (k : kernel) (t : task) =
   Printf.sprintf
     "Name:\t%s\nState:\t%s\nTgid:\t%d\nPid:\t%d\nPPid:\t%d\nThreads:\t%d\n\
      SigPnd:\t%016Lx\nSigBlk:\t%016Lx\nCpusAllowed:\t%d\nCycles:\t%Ld\n"
     t.comm (state_name t) t.tgid t.tid t.parent_tid
     (1 + List.length t.children)
-    t.pending t.sigmask t.affinity t.tcycles
+    t.pending t.sigmask t.affinity (task_cycles k t)
 
 (** One line per mapped region, straight from the MMU: the acceptance
     test parses this back and compares against [Mem.regions]. *)
@@ -167,7 +167,7 @@ let lookup (k : kernel) (comps : string list) : Vfs.sentry option =
       | None -> None
       | Some t -> (
           match leaf with
-          | "status" -> Some (Vfs.Sfile (fun () -> status t))
+          | "status" -> Some (Vfs.Sfile (fun () -> status k t))
           | "maps" -> Some (Vfs.Sfile (fun () -> maps t))
           | "interposer" -> Some (Vfs.Sfile (fun () -> interposer k t))
           | "policy" -> Some (Vfs.Sfile (fun () -> policy k t))

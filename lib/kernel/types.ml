@@ -73,6 +73,8 @@ type monitor = {
       (** PTRACE_GETREGS / SETREGS / PTRACE_SYSCALL etc. *)
 }
 
+(** The tracer's view of a stopped tracee, built once per task (see
+    [task.pview]). *)
 and ptrace_view = {
   pv_task : task;
   pv_get_reg : int -> int64;
@@ -88,7 +90,7 @@ and block_reason =
   | Waccept of int
   | Wepoll of int
   | Wchild of int  (** tid, or -1 for any child *)
-  | Wsleep of int64  (** absolute wake time in cycles *)
+  | Wsleep of int  (** absolute wake time in cycles *)
   | Wfutex of int  (** futex word address *)
 
 and tstate = Runnable | Blocked of block_reason | Zombie
@@ -112,11 +114,14 @@ and task = {
   sud : sud;
   mutable filters : Bpf.prog list;
   mutable monitor : monitor option;
+  mutable pview : ptrace_view option;
+      (** the view handed to [monitor] at every stop, made at the
+          first one *)
   mutable exit_code : int;
   mutable children : int list;
   mutable affinity : int;  (** CPU index, or -1 for any *)
   mutable on_cpu : int;  (** CPU currently executing this task, or -1 *)
-  mutable last_run : int64;  (** for round-robin fairness *)
+  mutable last_run : int;  (** for round-robin fairness *)
   mutable cwd : string;
   mutable comm : string;
   mutable brk : int;
@@ -124,7 +129,9 @@ and task = {
   mutable robust_list : int64;
   mutable tcycles : int64;
       (** cycles charged while this task was current (its own
-          execution plus kernel work done on its behalf) *)
+          execution plus kernel work done on its behalf), up to its
+          last descheduling; {!task_cycles} includes the running
+          slice *)
   mutable trace_path : Sim_trace.Event.dispatch_path option;
       (** dispatch-path tag for the task's next syscall, staged by the
           interposer stubs (e.g. lazypoline's fast-path entry) so the
@@ -136,7 +143,7 @@ and task = {
           sigreturn); maintained unconditionally — it is cheap and
           lets the sampling profiler classify handler execution
           without perturbing anything *)
-  mutable sleep_until : int64 option;
+  mutable sleep_until : int option;
       (** absolute deadline of the in-progress blocking syscall
           (nanosleep, futex FUTEX_WAIT with a timeout, epoll_wait with
           a positive timeout): blocking syscalls are retried by
@@ -166,7 +173,9 @@ type image = {
 
 (** {1 The kernel} *)
 
-type cpu_slot = { mutable clk : int64; mutable last_tid : int }
+(** One CPU.  Simulated cycles are native [int]s (63 bits is ~70 years
+    at 2.1 GHz), so advancing a clock allocates nothing. *)
+type cpu_slot = { mutable clk : int; mutable last_tid : int }
 
 type kernel = {
   cost : Cost_model.t;
@@ -184,7 +193,7 @@ type kernel = {
       (** external agents (e.g. the load generator) stepped once per
           scheduling slice *)
   mutable slice : int64;  (** scheduling quantum in cycles *)
-  mutable slice_end : int64;
+  mutable slice_end : int;
   mutable icache_on : bool;
       (** when false every task steps through the byte-at-a-time
           fetch/decode path — the A/B switch the equivalence tests and
@@ -219,6 +228,10 @@ type kernel = {
           0 before every guest instruction step *)
   mutable halted : bool;
   mutable cur_task : task option;  (** task being executed right now *)
+  mutable cur_cycles : int;
+      (** cycles charged to [cur_task] since it was scheduled; added to
+          its [tcycles] when it is descheduled, so a charge does not
+          box an [int64] *)
   mutable auditor : Sim_audit.Audit.t option;
       (** divergence auditor recording the observable event stream and
           state-hash checkpoints; observation-only like [tracer] *)
@@ -262,15 +275,15 @@ let obs_phase (k : kernel) o =
 let charge (k : kernel) n =
   let c = k.cpus.(k.cur_cpu) in
   let start = c.clk in
-  c.clk <- Int64.add c.clk (Int64.of_int n);
+  c.clk <- start + n;
   (match k.obs with
   | None -> ()
   | Some o ->
-      Sim_obs.Obs.on_charge o ~cpu:k.cur_cpu ~start ~cycles:n
-        ~phase:(obs_phase k o));
+      Sim_obs.Obs.on_charge o ~cpu:k.cur_cpu ~start:(Int64.of_int start)
+        ~cycles:n ~phase:(obs_phase k o));
   match k.cur_task with
   | Some t -> (
-      t.tcycles <- Int64.add t.tcycles (Int64.of_int n);
+      k.cur_cycles <- k.cur_cycles + n;
       match k.profiler with
       | None -> ()
       | Some p ->
@@ -287,14 +300,28 @@ let observing (k : kernel) =
   k.tracer <> None || k.metrics <> None || k.auditor <> None || k.obs <> None
   || k.prov <> None || k.policy <> None
 
+(** Cycles charged to [t] so far, including the slice it is running. *)
+let task_cycles (k : kernel) (t : task) =
+  match k.cur_task with
+  | Some u when u == t -> Int64.add t.tcycles (Int64.of_int k.cur_cycles)
+  | _ -> t.tcycles
+
 let enter_kernel (k : kernel) = k.in_kernel <- k.in_kernel + 1
 let leave_kernel (k : kernel) = k.in_kernel <- max 0 (k.in_kernel - 1)
 
+(** The current CPU's clock. *)
 let now (k : kernel) = k.cpus.(k.cur_cpu).clk
 
-(** Earliest per-CPU clock — the kernel's notion of global progress. *)
-let global_time (k : kernel) =
-  Array.fold_left (fun acc c -> min acc c.clk) Int64.max_int k.cpus
+(** The earliest per-CPU clock (the kernel's notion of global
+    progress), as the [int] the scheduler compares against. *)
+let min_clock (k : kernel) =
+  Array.fold_left (fun acc c -> min acc c.clk) max_int k.cpus
+
+(** The per-CPU clocks as [int64]s, the span recorder's unit. *)
+let clocks (k : kernel) = Array.map (fun c -> Int64.of_int c.clk) k.cpus
+
+(** {!min_clock} as an [int64], for observers and harnesses. *)
+let global_time (k : kernel) = Int64.of_int (min_clock k)
 
 (** Record [kind] on the current CPU's ring at the current simulated
     time (no-op without a tracer).  Hot emit sites should guard with
@@ -305,7 +332,8 @@ let trace_emit (k : kernel) kind =
   | None -> ()
   | Some tr ->
       let tid = match k.cur_task with Some t -> t.tid | None -> -1 in
-      Sim_trace.Tracer.emit tr ~cpu:k.cur_cpu ~tid ~ts:(now k) kind
+      Sim_trace.Tracer.emit tr ~cpu:k.cur_cpu ~tid ~ts:(Int64.of_int (now k))
+        kind
 
 (** Like {!trace_emit} with an explicit timestamp — for spans whose
     start time predates the emit (syscall enter/exit pairs). *)

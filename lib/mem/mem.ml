@@ -137,18 +137,15 @@ let map t ~addr ~len ~perm =
   if len <= 0 then invalid_arg "Mem.map: non-positive length";
   let first = page_align_down addr lsr page_shift in
   let last = (page_align_up (addr + len) - 1) lsr page_shift in
+  (* Fresh anonymous pages are zeroed. *)
   for pn = first to last do
     Hashtbl.replace t.pages pn
-      { data = Bytes.create page_size; pperm = perm; pkey = 0;
+      { data = Bytes.make page_size '\000'; pperm = perm; pkey = 0;
         gen = fresh_gen t }
   done;
   t.last_pn <- min_int;
   t.last_page <- no_page;
   bump_epoch t;
-  (* Fresh anonymous pages are zeroed. *)
-  for pn = first to last do
-    Bytes.fill (Hashtbl.find t.pages pn).data 0 page_size '\000'
-  done;
   if t.trace_hook <> None then
     fire t (Tmap { addr; len; x = perm land p_x <> 0 })
 
@@ -267,12 +264,12 @@ let store_bump t p =
 let find_page t pn =
   if t.last_pn = pn then t.last_page
   else
-    match Hashtbl.find_opt t.pages pn with
-    | Some p ->
+    match Hashtbl.find t.pages pn with
+    | p ->
         t.last_pn <- pn;
         t.last_page <- p;
         p
-    | None -> no_page
+    | exception Not_found -> no_page
 
 (* Byte accessors with permission checks. *)
 
@@ -318,6 +315,23 @@ let write_u64 t addr v =
         (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF)
     done
 
+(** Backing bytes of the page holding [addr], checked for a user-mode
+    read (the caller indexes them with [addr land page_mask]); raises
+    [Fault] like {!read_u8}. *)
+let page_for_read t addr =
+  let p = find_page t (addr lsr page_shift) in
+  check_page p addr Read p_r;
+  p.data
+
+(** Backing bytes of the page holding [addr], checked for a user-mode
+    write and versioned as a store to it; raises [Fault] like
+    {!write_u8}. *)
+let page_for_write t addr =
+  let p = find_page t (addr lsr page_shift) in
+  check_page p addr Write p_w;
+  store_bump t p;
+  p.data
+
 let read_bytes t addr len =
   let b = Bytes.create len in
   let i = ref 0 in
@@ -346,41 +360,63 @@ let write_bytes t addr (s : string) =
     i := !i + chunk
   done
 
-(** Privileged store that ignores the W permission — used by the
-    loader and by the kernel when building signal frames, never by
-    simulated code. *)
-let poke_bytes t addr (s : string) =
-  let len = String.length s in
+(** Privileged store of [len] bytes of [src] from [off] that ignores
+    the W permission — used by the loader and by the kernel when
+    building signal frames, never by simulated code.  Copies page by
+    page in ascending order; an unmapped page raises [Fault] after the
+    part below it has been written. *)
+let poke_from t addr (src : Bytes.t) off len =
   let i = ref 0 in
   while !i < len do
     let a = addr + !i in
-    let off = a land page_mask in
-    let chunk = min (len - !i) (page_size - off) in
-    (match Hashtbl.find_opt t.pages (a lsr page_shift) with
-    | Some p ->
-        (* poke ignores W, but not the invalidation protocol: this is
-           the path zpoline's sweep and rewrite_site patch code
-           through, directly onto RX pages. *)
-        store_bump t p;
-        Bytes.blit_string s !i p.data off chunk
-    | None -> raise (Fault (a, Write)));
+    let o = a land page_mask in
+    let chunk = min (len - !i) (page_size - o) in
+    let p = find_page t (a lsr page_shift) in
+    if p == no_page then raise (Fault (a, Write));
+    (* poke ignores W, but not the invalidation protocol: this is the
+       path zpoline's sweep and rewrite_site patch code through,
+       directly onto RX pages. *)
+    store_bump t p;
+    Bytes.blit src (off + !i) p.data o chunk;
     i := !i + chunk
   done
 
-(** Privileged read that ignores permissions (kernel / debugger view). *)
-let peek_bytes t addr len =
-  let b = Bytes.create len in
+let poke_bytes t addr (s : string) =
+  poke_from t addr (Bytes.unsafe_of_string s) 0 (String.length s)
+
+(** Privileged read of [len] bytes into [dst] from [off], ignoring
+    permissions (kernel / debugger view).  Copies page by page in
+    ascending order; an unmapped page raises [Fault] after the part
+    below it has been copied. *)
+let peek_into t addr (dst : Bytes.t) off len =
   let i = ref 0 in
   while !i < len do
     let a = addr + !i in
-    let off = a land page_mask in
-    let chunk = min (len - !i) (page_size - off) in
-    (match Hashtbl.find_opt t.pages (a lsr page_shift) with
-    | Some p -> Bytes.blit p.data off b !i chunk
-    | None -> raise (Fault (a, Read)));
+    let o = a land page_mask in
+    let chunk = min (len - !i) (page_size - o) in
+    let p = find_page t (a lsr page_shift) in
+    if p == no_page then raise (Fault (a, Read));
+    Bytes.blit p.data o dst (off + !i) chunk;
     i := !i + chunk
-  done;
+  done
+
+let peek_bytes t addr len =
+  let b = Bytes.create len in
+  peek_into t addr b 0 len;
   Bytes.unsafe_to_string b
+
+(** Privileged byte accessors (no permission check; only unmapped
+    memory faults). *)
+let peek_u8 t addr =
+  let p = find_page t (addr lsr page_shift) in
+  if p == no_page then raise (Fault (addr, Read));
+  Char.code (Bytes.unsafe_get p.data (addr land page_mask))
+
+let poke_u8 t addr v =
+  let p = find_page t (addr lsr page_shift) in
+  if p == no_page then raise (Fault (addr, Write));
+  store_bump t p;
+  Bytes.unsafe_set p.data (addr land page_mask) (Char.unsafe_chr (v land 0xFF))
 
 let peek_u64 t addr =
   if addr land page_mask <= page_size - 8 then begin
@@ -390,9 +426,11 @@ let peek_u64 t addr =
     if p == no_page then raise (Fault (addr, Read));
     Bytes.get_int64_le p.data (addr land page_mask)
   end
-  else
-    let s = peek_bytes t addr 8 in
-    Bytes.get_int64_le (Bytes.of_string s) 0
+  else begin
+    let b = Bytes.create 8 in
+    peek_into t addr b 0 8;
+    Bytes.get_int64_le b 0
+  end
 
 let poke_u64 t addr v =
   if addr land page_mask <= page_size - 8 then begin
@@ -404,7 +442,7 @@ let poke_u64 t addr v =
   else begin
     let b = Bytes.create 8 in
     Bytes.set_int64_le b 0 v;
-    poke_bytes t addr (Bytes.to_string b)
+    poke_from t addr b 0 8
   end
 
 (** Read a NUL-terminated string (bounded by [max], default 4096). *)

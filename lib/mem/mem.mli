@@ -81,10 +81,34 @@ val read_bytes : t -> int -> int -> string
 val write_bytes : t -> int -> string -> unit
 val read_cstring : ?max:int -> t -> int -> string
 
+val page_for_read : t -> int -> Bytes.t
+(** Backing bytes of the page holding the address, after the same
+    permission check as {!read_u8}; index them with
+    [addr land page_mask].  Lets a caller load a word that does not
+    cross a page boundary without boxing it. *)
+
+val page_for_write : t -> int -> Bytes.t
+(** Like {!page_for_read} for a store: checks W and versions the page
+    exactly as {!write_u8} does, so the caller's write is visible to
+    decoded-instruction caches. *)
+
 (** {1 Privileged accessors (kernel semantics: ignore permissions)} *)
 
 val poke_bytes : t -> int -> string -> unit
 val peek_bytes : t -> int -> int -> string
+
+val poke_from : t -> int -> Bytes.t -> int -> int -> unit
+(** [poke_from t addr src off len]: {!poke_bytes} of a [Bytes.t]
+    slice, with the same versioning.  Copies page by page upwards; an
+    unmapped page raises [Fault] after the part below it is written. *)
+
+val peek_into : t -> int -> Bytes.t -> int -> int -> unit
+(** [peek_into t addr dst off len]: {!peek_bytes} into a [Bytes.t]
+    slice.  An unmapped page raises [Fault] after the part below it is
+    copied. *)
+
+val peek_u8 : t -> int -> int
+val poke_u8 : t -> int -> int -> unit
 val peek_u64 : t -> int -> int64
 val poke_u64 : t -> int -> int64 -> unit
 

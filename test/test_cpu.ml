@@ -217,17 +217,19 @@ let test_hooks_observe_registers () =
 
 let test_xstate_roundtrip () =
   let x = Cpu.xstate_create () in
-  x.xmm_lo.(5) <- 123L;
-  x.xmm_hi.(5) <- 456L;
-  x.st.(0) <- Int64.bits_of_float 3.14;
+  Cpu.set_xmm_lo x 5 123L;
+  Cpu.set_xmm_hi x 5 456L;
+  Cpu.set_st x 0 (Int64.bits_of_float 3.14);
   x.st_sp <- 1;
-  let s = Cpu.xstate_to_bytes x in
+  let m = Mem.create () in
+  Mem.map m ~addr:0x1000 ~len:Mem.page_size ~perm:Mem.rw;
+  Cpu.xstate_save x m 0x1000;
   let y = Cpu.xstate_create () in
-  Cpu.xstate_of_bytes y s;
-  Alcotest.(check int64) "xmm lo" 123L y.xmm_lo.(5);
-  Alcotest.(check int64) "xmm hi" 456L y.xmm_hi.(5);
+  Cpu.xstate_load y m 0x1000;
+  Alcotest.(check int64) "xmm lo" 123L (Cpu.xmm_lo y 5);
+  Alcotest.(check int64) "xmm hi" 456L (Cpu.xmm_hi y 5);
   Alcotest.(check int) "st_sp" 1 y.st_sp;
-  Alcotest.(check int64) "st0" (Int64.bits_of_float 3.14) y.st.(0)
+  Alcotest.(check int64) "st0" (Int64.bits_of_float 3.14) (Cpu.st y 0)
 
 (** {1 Cached-vs-uncached equivalence (qcheck)}
 
@@ -634,10 +636,10 @@ let hs_run ?icache () =
         c.zf c.sf c.cf c.pkru c.nop_run;
       String.concat " "
         (List.init 4 (fun x ->
-             Printf.sprintf "%Lx:%Lx" c.x.xmm_hi.(x) c.x.xmm_lo.(x)));
+             Printf.sprintf "%Lx:%Lx" (Cpu.xmm_hi c.x x) (Cpu.xmm_lo c.x x)));
       Printf.sprintf "st_sp=%d %s" c.x.st_sp
         (String.concat " "
-           (Array.to_list (Array.map (Printf.sprintf "%Lx") c.x.st)));
+           (List.init 8 (fun i -> Printf.sprintf "%Lx" (Cpu.st c.x i))));
       Digest.to_hex
         (Digest.string
            (Mem.peek_bytes m 0x8000 (2 * Mem.page_size)

@@ -304,8 +304,7 @@ let test_multi_cpu_affinity () =
   Alcotest.(check int) "t1 done" 0 t1.Types.exit_code;
   Alcotest.(check int) "t2 done" 0 t2.Types.exit_code;
   (* Both CPUs did comparable work. *)
-  let c0 = Int64.to_int k.Types.cpus.(0).Types.clk
-  and c1 = Int64.to_int k.Types.cpus.(1).Types.clk in
+  let c0 = k.Types.cpus.(0).Types.clk and c1 = k.Types.cpus.(1).Types.clk in
   Alcotest.(check bool)
     (Printf.sprintf "parallel progress (%d vs %d)" c0 c1)
     true

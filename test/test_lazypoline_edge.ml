@@ -364,6 +364,61 @@ let test_sigaction_old_handler_shadowed () =
   let code, _, _ = run prog in
   Alcotest.(check int) "old act = app's h1, not the wrapper" 0 code
 
+
+(* The %gs xsave stack keeps its depth word, drops pushes past its
+   slots (counting them), restores in LIFO order bit for bit, ignores a
+   pop at depth 0, and clamps a guest-written x87 depth. *)
+let test_xstack_depth_and_overflow () =
+  let module Cpu = Sim_cpu.Cpu in
+  let module L = Lazypoline.Layout in
+  let k = Kernel.create () in
+  let t = Kernel.spawn k (Loader.image_of_items (Tutil.exit_with 0)) in
+  let st = Lazypoline.install ~preserve_xstate:true k t (Hook.dummy ()) in
+  let c = t.Types.ctx in
+  let depth () =
+    Int64.to_int
+      (Sim_mem.Mem.peek_u64 t.Types.mem (c.gs_base + L.gs_xstack_depth))
+  in
+  let mark d =
+    for x = 0 to 15 do
+      Cpu.set_xmm_lo c.x x (Int64.of_int ((d * 100) + x));
+      Cpu.set_xmm_hi c.x x (Int64.of_int (-((d * 100) + x)))
+    done;
+    Cpu.set_st c.x 7 (Int64.of_int d);
+    c.x.st_sp <- d mod 9
+  in
+  let image () = Bytes.to_string (Cpu.xstate_image c.x) in
+  let saved = Array.make (L.gs_xstack_slots + 1) "" in
+  for d = 1 to L.gs_xstack_slots do
+    mark d;
+    saved.(d) <- image ();
+    Lazypoline.xstate_push st t;
+    Alcotest.(check int) "depth after push" d (depth ())
+  done;
+  mark 99;
+  Lazypoline.xstate_push st t;
+  Alcotest.(check int) "full stack keeps its depth" L.gs_xstack_slots
+    (depth ());
+  Alcotest.(check int) "overflow counted" 1
+    st.Lazypoline.stats.xstate_overflows;
+  for d = L.gs_xstack_slots downto 1 do
+    Lazypoline.xstate_pop st t;
+    Alcotest.(check string) (Printf.sprintf "slot %d restored" d) saved.(d)
+      (image ());
+    Alcotest.(check int) "depth after pop" (d - 1) (depth ())
+  done;
+  let before = image () in
+  Lazypoline.xstate_pop st t;
+  Alcotest.(check string) "pop at depth 0 is a no-op" before (image ());
+  Alcotest.(check int) "depth stays 0" 0 (depth ());
+  (* a guest store into the saved x87 depth cannot push it past 8 *)
+  Lazypoline.xstate_push st t;
+  Sim_mem.Mem.poke_u64 t.Types.mem
+    (c.gs_base + L.gs_xstack_base + 320)
+    15L;
+  Lazypoline.xstate_pop st t;
+  Alcotest.(check int) "guest-written depth clamped" 8 c.x.st_sp
+
 let tests =
   [
     Alcotest.test_case "nested wrapped signals" `Quick
@@ -382,4 +437,6 @@ let tests =
       test_vfork_interposed_like_fork;
     Alcotest.test_case "sigaction old-handler shadowing" `Quick
       test_sigaction_old_handler_shadowed;
+      Alcotest.test_case "xsave stack depth and overflow" `Quick
+      test_xstack_depth_and_overflow;
   ]

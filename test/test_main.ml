@@ -31,4 +31,5 @@ let () =
       ("debug", Test_debug.tests);
       ("obs", Test_obs.tests);
       ("policy", Test_policy.tests);
+      ("alloc", Test_alloc.tests);
     ]

@@ -158,9 +158,7 @@ let test_wrk_attribution () =
   Alcotest.(check int) "every request issued" 120 (Obs.issued o);
   Alcotest.(check int) "every request completed" 120 (Obs.completed_count o);
   Alcotest.(check int) "no in-flight overflow" 0 (Obs.overflow o);
-  let clks =
-    Array.map (fun (c : Types.cpu_slot) -> c.Types.clk) k.Types.cpus
-  in
+  let clks = Types.clocks k in
   let tt = Obs.totals o ~clks in
   Alcotest.(check bool) "ran" true (tt.Obs.t_total > 0L);
   Alcotest.(check int64) "phase rows sum to total cycles" tt.Obs.t_total

@@ -519,6 +519,149 @@ let test_epoll_eintr () =
   in
   check_mechs "epoll_wait -EINTR" 14 ~injections:(blocksig ~index:2) prog
 
+
+(* Regression: the x87 depth in a signal frame is guest-writable.  A
+   handler that stores 15 there used to make the next x87 pop index
+   past the stack and raise [Invalid_argument] out of the CPU. *)
+let test_frame_st_sp_clamped () =
+  let st_sp_slot = Ksignal.uc_xstate_off + 320 in
+  let prog =
+    map_globals
+    @ install_handler Defs.sigusr1
+    @ kill_self Defs.sigusr1
+    @ [ i Isa.Faddp ]
+    @ Tutil.exit_with 0
+    @ [
+        Label "handler";
+        mov_ri Isa.rcx 15;
+        store Isa.rdx st_sp_slot Isa.rcx;
+        ret;
+      ]
+    @ restorer_block
+  in
+  let code, _, t = Tutil.run_asm prog in
+  Alcotest.(check int) "faddp after sigreturn" 0 code;
+  Alcotest.(check int) "depth clamped, then popped" 7
+    t.Types.ctx.Sim_cpu.Cpu.x.st_sp
+
+(* Fill every piece of state a frame carries with distinct values. *)
+let fill_state (t : Types.task) seed =
+  let module Cpu = Sim_cpu.Cpu in
+  let c = t.Types.ctx in
+  let v i = Int64.(add (mul (of_int (seed + i)) 0x9E37_79B9_7F4A_7C15L) 1L) in
+  for r = 0 to 15 do
+    Cpu.poke_reg c r (v r)
+  done;
+  c.rip <- 0x40_1234 + seed;
+  c.zf <- seed land 1 = 0;
+  c.sf <- seed land 2 = 0;
+  c.cf <- seed land 4 = 0;
+  for x = 0 to 15 do
+    Cpu.set_xmm_lo c.x x (v (16 + x));
+    Cpu.set_xmm_hi c.x x (v (32 + x))
+  done;
+  for j = 0 to 7 do
+    Cpu.set_st c.x j (v (48 + j))
+  done;
+  c.x.st_sp <- seed mod 9;
+  c.pkru <- (seed * 4) land 0xFFFF;
+  t.Types.sigmask <- Int64.of_int (seed land 0xFF)
+
+type snapshot = {
+  regs : string;
+  rip : int;
+  flags : int;
+  xs : string;
+  pkru : int;
+  mask : int64;
+}
+
+let snapshot (t : Types.task) =
+  let module Cpu = Sim_cpu.Cpu in
+  let c = t.Types.ctx in
+  {
+    regs = Bytes.to_string c.regs;
+    rip = c.rip;
+    flags = Ksignal.flags_word c;
+    xs = Bytes.to_string (Cpu.xstate_image c.x);
+    pkru = c.pkru;
+    mask = t.Types.sigmask;
+  }
+
+let sigusr1_info =
+  { Types.si_signo = Defs.sigusr1; si_code = 0; si_call_addr = 0;
+    si_syscall = 0 }
+
+(* Stack of two pages at [stack]; the frame base lands [below] bytes
+   under the seam between them. *)
+let frame_task ?(map_low = true) ?(map_high = true) ~below () =
+  let k = Kernel.create () in
+  let t = Kernel.spawn k (Loader.image_of_items (Tutil.exit_with 0)) in
+  let stack = 0x7000_0000 in
+  let seam = stack + Sim_mem.Mem.page_size in
+  if map_low then
+    Sim_mem.Mem.map t.Types.mem ~addr:stack ~len:Sim_mem.Mem.page_size
+      ~perm:Sim_mem.Mem.rw;
+  if map_high then
+    Sim_mem.Mem.map t.Types.mem ~addr:seam ~len:Sim_mem.Mem.page_size
+      ~perm:Sim_mem.Mem.rw;
+  t.Types.sighand.(Defs.sigusr1) <-
+    { Types.sa_handler = 0x40_2000L; sa_mask = 0x300L; sa_flags = 0L;
+      sa_restorer = 0x40_3000L };
+  let f = seam - below in
+  (k, t, f, f + Ksignal.redzone + Ksignal.frame_size)
+
+(* push_frame then sigreturn restores GPRs, flags, mask, xstate and
+   pkru bit for bit, wherever the page seam cuts the frame: none,
+   the GPR block, the xstate, the pkru word. *)
+let test_frame_roundtrip () =
+  let module Cpu = Sim_cpu.Cpu in
+  List.iteri
+    (fun n below ->
+      let k, t, f, sp = frame_task ~below () in
+      fill_state t (n + 1);
+      Cpu.poke_reg_int t.Types.ctx Isa.rsp sp;
+      let before = snapshot t in
+      Ksignal.push_frame k t Defs.sigusr1 sigusr1_info;
+      let c = t.Types.ctx in
+      let reg r = Cpu.peek_reg_int c r in
+      Alcotest.(check int) "handler rsp is the frame" f (reg Isa.rsp);
+      Alcotest.(check int) "handler rip" 0x40_2000 c.rip;
+      Alcotest.(check int) "rdx = &ucontext" (f + 40) (reg Isa.rdx);
+      Alcotest.(check string) "GPR block saved" before.regs
+        (Sim_mem.Mem.peek_bytes t.Types.mem (f + 40) 128);
+      (* the handler clobbers everything, then returns to the restorer *)
+      fill_state t (n + 100);
+      Cpu.poke_reg_int c Isa.rsp (f + 8);
+      Ksignal.sigreturn k t;
+      let after = snapshot t in
+      let tag s = Printf.sprintf "%s (frame %d below the seam)" s below in
+      Alcotest.(check string) (tag "GPRs") before.regs after.regs;
+      Alcotest.(check int) (tag "rip") before.rip after.rip;
+      Alcotest.(check int) (tag "flags") before.flags after.flags;
+      Alcotest.(check string) (tag "xstate") before.xs after.xs;
+      Alcotest.(check int) (tag "pkru") before.pkru after.pkru;
+      Alcotest.(check int64) (tag "sigmask") before.mask after.mask;
+      Alcotest.(check bool) (tag "still runnable") true
+        (t.Types.state = Types.Runnable))
+    [ 0xE00; 96; 352; 16 ]
+
+(* A frame that does not fit in mapped stack kills the task with
+   SIGSEGV — whether the lower page, the upper page or both are
+   missing. *)
+let test_frame_unmapped_stack_kills () =
+  List.iter
+    (fun (map_low, map_high, below) ->
+      let k, t, _, sp = frame_task ~map_low ~map_high ~below () in
+      Sim_cpu.Cpu.poke_reg_int t.Types.ctx Isa.rsp sp;
+      (match Ksignal.push_frame k t Defs.sigusr1 sigusr1_info with
+      | () -> Alcotest.fail "frame pushed onto unmapped stack"
+      | exception Ksignal.Killed_by_signal (_, s) ->
+          Alcotest.(check int) "SIGSEGV" Defs.sigsegv s);
+      Alcotest.(check int) "exit code" (128 + Defs.sigsegv) t.Types.exit_code;
+      Alcotest.(check bool) "zombie" true (t.Types.state = Types.Zombie))
+    [ (false, false, 96); (false, true, 96); (true, false, 96) ]
+
 let tests =
   [
     Alcotest.test_case "handler runs and returns" `Quick
@@ -546,4 +689,10 @@ let tests =
       test_futex_eintr;
     Alcotest.test_case "epoll_wait -EINTR despite SA_RESTART" `Quick
       test_epoll_eintr;
+    Alcotest.test_case "frame x87 depth clamped on sigreturn" `Quick
+      test_frame_st_sp_clamped;
+    Alcotest.test_case "frame round trip is bit-identical" `Quick
+      test_frame_roundtrip;
+    Alcotest.test_case "frame on unmapped stack kills" `Quick
+      test_frame_unmapped_stack_kills;
   ]
