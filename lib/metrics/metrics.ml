@@ -24,6 +24,8 @@
     ({!to_json}).  Both are deterministic: metrics are sorted by
     (name, labels), so two identical runs scrape identically. *)
 
+module Json = Sim_artifact.Json
+
 type hist = {
   mutable h_count : int;
   mutable h_sum : int;
@@ -185,61 +187,43 @@ let prometheus t =
     (sorted_metrics t);
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (** JSON export: [{"name":..,"type":..,"labels":{..},"value":..}]
     (histograms carry "count", "sum" and a "buckets" array of
     [le, cumulative_count] pairs instead of "value"). *)
-let to_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "[";
-  List.iteri
-    (fun i m ->
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b
-        (Printf.sprintf "\n  { \"name\": \"%s\", \"type\": \"%s\", "
-           (json_escape m.m_name) (type_name m.m_value));
-      Buffer.add_string b "\"labels\": {";
-      List.iteri
-        (fun j (k, v) ->
-          if j > 0 then Buffer.add_string b ", ";
-          Buffer.add_string b
-            (Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v)))
-        m.m_labels;
-      Buffer.add_string b "}, ";
-      (match m.m_value with
+let json t : Json.t =
+  let metric m =
+    let value =
+      match m.m_value with
       | Counter _ | Gauge _ | Probe _ ->
           let v = match value_of m.m_value with Some v -> v | None -> 0 in
-          Buffer.add_string b (Printf.sprintf "\"value\": %d }" v)
+          [ ("value", Json.Int v) ]
       | Histogram h ->
-          Buffer.add_string b
-            (Printf.sprintf "\"count\": %d, \"sum\": %d, \"buckets\": ["
-               h.h_count h.h_sum);
-          let cum = ref 0 and first = ref true in
+          let cum = ref 0 and buckets = ref [] in
           Array.iteri
             (fun i c ->
               cum := !cum + c;
-              if c > 0 || i = hist_bins - 1 then begin
-                if not !first then Buffer.add_string b ", ";
-                first := false;
+              if c > 0 || i = hist_bins - 1 then
                 let le =
-                  if i = hist_bins - 1 then "\"+Inf\""
-                  else string_of_int (1 lsl i)
+                  if i = hist_bins - 1 then Json.String "+Inf"
+                  else Json.Int (1 lsl i)
                 in
-                Buffer.add_string b (Printf.sprintf "[%s, %d]" le !cum)
-              end)
+                buckets := Json.List [ le; Json.Int !cum ] :: !buckets)
             h.h_buckets;
-          Buffer.add_string b "] }"))
-    (sorted_metrics t);
-  Buffer.add_string b "\n]";
-  Buffer.contents b
+          [
+            ("count", Json.Int h.h_count); ("sum", Json.Int h.h_sum);
+            ("buckets", Json.List (List.rev !buckets));
+          ]
+    in
+    Json.Object
+      ([
+         ("name", Json.String m.m_name);
+         ("type", Json.String (type_name m.m_value));
+         ( "labels",
+           Json.Object (List.map (fun (k, v) -> (k, Json.String v)) m.m_labels)
+         );
+       ]
+      @ value)
+  in
+  Json.List (List.map metric (sorted_metrics t))
+
+let to_json t = Json.to_string (json t)

@@ -45,6 +45,7 @@
 
 module Stats = Sim_stats.Stats
 module Ev = Sim_trace.Event
+module Json = Sim_artifact.Json
 open Sim_mem
 
 (** Same path order as [Kmetrics.path_index], so exports line up. *)
@@ -364,50 +365,57 @@ let folded ?(comm = "sites") t : string =
 
 (** JSON export of the full ledger (sites hottest-first, rewrite
     table, unwinder health). *)
-let to_json t : string =
-  let b = Buffer.create 4096 in
-  let out fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  out "{\n  \"unwind\": { \"attempts\": %d, \"resolved\": %d, " t.attempts
-    t.resolved;
-  out "\"success_rate\": %.4f, \"frames\": %d, \"truncated\": %d },\n"
-    (unwind_success_rate t) t.frames_total t.truncated;
-  out "  \"sites_dropped\": %d,\n" t.sites_dropped;
-  out "  \"sites\": [";
-  List.iteri
-    (fun i s ->
-      if i > 0 then out ",";
-      out "\n    { \"pc\": %d, \"sym\": \"%s\", \"nr\": %d, " s.s_pc
-        (symbolize t s.s_pc) s.s_nr;
-      out "\"count\": %d, \"kcycles\": %.0f, " (site_count s) (site_cycles s);
-      out "\"p50\": %.1f, \"p99\": %.1f, "
-        (Stats.Log_hist.percentile s.s_kcycles 50.0)
-        (Stats.Log_hist.percentile s.s_kcycles 99.0);
-      out "\"first_seen\": %Ld, \"last_seen\": %Ld, \"first_ev\": %d, "
-        s.s_first_seen s.s_last_seen s.s_first_ev;
-      (match rewrite_of t s.s_pc with
-      | Some r ->
-          out "\"rewrite\": { \"kind\": \"%s\", \"count\": %d, \"at\": %Ld }, "
-            (rewrite_kind_name r.rw_kind) r.rw_count r.rw_first
-      | None -> out "\"rewrite\": null, ");
-      out "\"paths\": { ";
-      Array.iteri
-        (fun pi c ->
-          if pi > 0 then out ", ";
-          out "\"%s\": %d" path_names.(pi) c)
-        s.s_paths;
-      out " } }")
-    (sites_sorted t);
-  out "\n  ],\n  \"rewrites\": [";
+let json t : Json.t =
+  let int n = Json.Int n and i64 n = Json.Int (Int64.to_int n) in
+  let rewrite r =
+    [
+      ("kind", Json.String (rewrite_kind_name r.rw_kind));
+      ("count", int r.rw_count); ("at", i64 r.rw_first);
+    ]
+  in
+  let sym pc = Json.String (symbolize t pc) in
+  let site s =
+    Json.Object
+      [
+        ("pc", int s.s_pc); ("sym", sym s.s_pc);
+        ("nr", int s.s_nr); ("count", int (site_count s));
+        ("kcycles", Json.Float (0, site_cycles s));
+        ("p50", Json.Float (1, Stats.Log_hist.percentile s.s_kcycles 50.0));
+        ("p99", Json.Float (1, Stats.Log_hist.percentile s.s_kcycles 99.0));
+        ("first_seen", i64 s.s_first_seen); ("last_seen", i64 s.s_last_seen);
+        ("first_ev", int s.s_first_ev);
+        ( "rewrite",
+          match rewrite_of t s.s_pc with
+          | Some r -> Json.Object (rewrite r)
+          | None -> Json.Null );
+        ( "paths",
+          Json.Object
+            (Array.to_list
+               (Array.mapi (fun pi c -> (path_names.(pi), int c)) s.s_paths)) );
+      ]
+  in
   let rws =
     Hashtbl.fold (fun _ r acc -> r :: acc) t.rewrites []
     |> List.sort (fun a b -> compare a.rw_pc b.rw_pc)
   in
-  List.iteri
-    (fun i r ->
-      if i > 0 then out ",";
-      out "\n    { \"pc\": %d, \"sym\": \"%s\", \"kind\": \"%s\", " r.rw_pc
-        (symbolize t r.rw_pc) (rewrite_kind_name r.rw_kind);
-      out "\"count\": %d, \"at\": %Ld }" r.rw_count r.rw_first)
-    rws;
-  out "\n  ]\n}\n";
-  Buffer.contents b
+  Json.Object
+    [
+      ( "unwind",
+        Json.Object
+          [
+            ("attempts", int t.attempts); ("resolved", int t.resolved);
+            ("success_rate", Json.Float (4, unwind_success_rate t));
+            ("frames", int t.frames_total); ("truncated", int t.truncated);
+          ] );
+      ("sites_dropped", int t.sites_dropped);
+      ("sites", Json.List (List.map site (sites_sorted t)));
+      ( "rewrites",
+        Json.List
+          (List.map
+             (fun r ->
+               Json.Object
+                 (("pc", int r.rw_pc) :: ("sym", sym r.rw_pc) :: rewrite r))
+             rws) );
+    ]
+
+let to_json t : string = Json.to_string (json t) ^ "\n"

@@ -13,24 +13,16 @@
       as one span of its task.
 
     Timestamps are microseconds (the format's native unit) derived
-    from simulated cycles at the simulator's 2.1 GHz clock.  The
-    exporter is pure string building — no JSON library involved — and
-    the shape is asserted by a parser in test_trace. *)
+    from simulated cycles at the simulator's 2.1 GHz clock.  Traces
+    can hold millions of events, so the exporter streams them into one
+    buffer instead of building a {!Sim_artifact.Json.t} tree; strings
+    go through the shared {!Sim_artifact.Json.escape}.  The shape is
+    asserted by a parser in test_trace. *)
 
 let cycles_per_us = 2100.0
 let us_of_cycles (c : int64) = Int64.to_float c /. cycles_per_us
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let escape = Sim_artifact.Json.escape
 
 (* One JSON event object; [args] are pre-rendered "key":value pairs. *)
 let obj b ~first ~name ~cat ~ph ~ts ?dur ~pid ~tid ?id ?scope ~args () =

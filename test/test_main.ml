@@ -32,4 +32,5 @@ let () =
       ("obs", Test_obs.tests);
       ("policy", Test_policy.tests);
       ("alloc", Test_alloc.tests);
+      ("json", Test_json.tests);
     ]

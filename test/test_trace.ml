@@ -233,10 +233,10 @@ let parse_json (s : string) : json =
           (match peek () with
           | 'u' ->
               advance ();
-              for _ = 1 to 4 do
-                advance ()
-              done;
-              Buffer.add_char b '?'
+              let code = int_of_string_opt ("0x" ^ String.sub s !pos 4) in
+              pos := !pos + 4;
+              Buffer.add_char b
+                (match code with Some c when c < 0x80 -> Char.chr c | _ -> '?')
           | 'n' ->
               advance ();
               Buffer.add_char b '\n'
