@@ -26,11 +26,12 @@
       dune exec bench/main.exe -- --only chaos-off --snapshot auto
 
     With no [--only], the run covers the eight experiments and the
-    record, spans, sites and policy sweeps; the spans-off and
+    record, spans, sites and policy sweeps; the observers-off and
     chaos-off identity checks run only when named.  The per-mechanism
     cycle rows are computed on every run. *)
 
 module J = Sim_artifact.Json
+module Observers = Sim_kernel.Observers
 
 let schema_version = "lazypoline-sim-bench/8"
 
@@ -132,7 +133,8 @@ let mechanism_rows () =
     (fun config ->
       let m = Sim_kernel.Kmetrics.create () in
       let cycles =
-        Workloads.Microbench_prog.run ~iters:2_000 ~metrics:m config
+        Workloads.Microbench_prog.run ~iters:2_000
+          ~observers:[ Observers.metrics m ] config
       in
       let metrics = Sim_metrics.Metrics.json m.Sim_kernel.Kmetrics.registry in
       (Workloads.Microbench_prog.config_name config, cycles, metrics))
@@ -168,7 +170,9 @@ let record_section () =
     let name = Mb.config_name config in
     let off = Mb.run ~iters:record_iters config in
     let a = Sim_audit.Audit.create ~checkpoint_every:64 () in
-    let on = Mb.run ~iters:record_iters ~auditor:a config in
+    let on =
+      Mb.run ~iters:record_iters ~observers:[ Observers.auditor a ] config
+    in
     let events = List.length (Sim_audit.Audit.entries a) in
     Printf.printf
       "[host] record %-16s %8.2f cyc/iter off, %8.2f on  %d events\n%!" name
@@ -212,7 +216,7 @@ let spans_section ~fast () =
   let row mech =
     let name = D.mech_name mech in
     let o = Obs.create ~ncpus:1 () in
-    let _a, k, _t = D.run_audited ~obs:o mech workload in
+    let _a, k, _t = D.run_audited ~observers:[ D.spans o ] mech workload in
     let tt = Obs.totals o ~clks:(Sim_kernel.Types.clocks k) in
     let h = Obs.latency_hist o in
     let pc p = Sim_stats.Stats.Log_hist.percentile h p in
@@ -279,37 +283,46 @@ let spans_section ~fast () =
       ("rows", J.List (List.map row D.all_mechs));
     ]
 
-(* The span recorder must be free when detached and observation-only
-   when attached: a wrk run with the recorder on has to produce a
-   bit-identical audit log (streams, checkpoint hashes, final state
-   hash) and the exact same simulated cycle count as the same run
-   without it, under every mechanism. *)
-let check_spans_off () =
+(* Observation must be free: a wrk run with every observation-only
+   subscriber attached (tracer, metrics, profiler, span recorder,
+   provenance ledger) has to produce a bit-identical audit log
+   (streams, checkpoint hashes, final state hash) and the exact same
+   simulated cycle count as the same run with the auditor alone, under
+   every mechanism. *)
+let check_observers_off () =
   let module D = Harness.Divergence in
   let workload =
     D.Wrk { flavour = spans_flavour; size_kb = 4; conns = 8; requests = 300 }
   in
   List.iter
     (fun mech ->
-      let run obs =
-        let a, k, _ = D.run_audited ?obs mech workload in
+      let run observers =
+        let a, k, _ = D.run_audited ~observers mech workload in
         let h = Sim_kernel.Kernel.audit_final_hash k a in
         (D.log_string ~final_hash:h a, Sim_kernel.Types.global_time k, h)
       in
-      let o = Sim_obs.Obs.create ~ncpus:1 () in
-      let log_on, cyc_on, h_on = run (Some o) in
-      let log_off, cyc_off, h_off = run None in
+      let log_on, cyc_on, h_on =
+        run
+          Observers.
+            [
+              tracer (Sim_trace.Tracer.create ~ncpus:1 ());
+              metrics (Sim_kernel.Kmetrics.create ());
+              profiler (Sim_metrics.Profiler.create ());
+              D.spans (Sim_obs.Obs.create ~ncpus:1 ());
+              ledger (Sim_obs.Provenance.create ());
+            ]
+      in
+      let log_off, cyc_off, h_off = run [] in
       if log_on = log_off && cyc_on = cyc_off then
         Printf.printf
-          "[host] spans-off %-12s OK: %Ld cycles, state hash %Lx, identical \
-           with the recorder attached\n\
+          "[host] observers-off %-12s OK: %Ld cycles, state hash %Lx, \
+           identical with every observer attached\n\
            %!"
           (D.mech_name mech) cyc_on h_on
       else
         fail
-          "span recorder perturbed %s: cycles %Ld (on) vs %Ld (off), hash %Lx \
-           vs %Lx, audit logs %s — the recorder is observation-only by \
-           contract"
+          "observers perturbed %s: cycles %Ld (on) vs %Ld (off), hash %Lx vs \
+           %Lx, audit logs %s — observers are observation-only by contract"
           (D.mech_name mech) cyc_on cyc_off h_on h_off
           (if log_on = log_off then "equal" else "differ"))
     D.all_mechs
@@ -341,7 +354,7 @@ let sites_section () =
   let workload = D.Prog { src = sites_src; jit = false } in
   let row mech =
     let p = P.create () in
-    let _a, _k, _t = D.run_audited ~prov:p mech workload in
+    ignore (D.run_audited ~observers:[ Observers.ledger p ] mech workload);
     let name = D.mech_name mech in
     let rate = P.unwind_success_rate p in
     Printf.printf
@@ -620,7 +633,7 @@ let emit_trace path =
     List.map
       (fun config ->
         let tr = Sim_trace.Tracer.create ~ncpus:1 () in
-        ignore (run ~iters:2_000 ~tracer:tr config);
+        ignore (run ~iters:2_000 ~observers:[ Observers.tracer tr ] config);
         (config_name config, Sim_trace.Tracer.events tr))
       configs
   in
@@ -640,11 +653,12 @@ let gates =
     ("spans", "wrk request-flow spans: exact phase sums, no lost requests");
     ("sites", "call-site provenance: unwind success, per-site path purity");
     ("policy", "syscall-flow policy: report identity, enforce overhead budget");
-    ("spans-off", "span recorder attached vs. detached: identical audit logs");
+    ( "observers-off",
+      "every observer attached vs. none: identical audit logs and cycles" );
     ("chaos-off", "zero-rate chaos engine: identical cycles, and to snapshot");
   ]
 
-let opt_in = [ "spans-off"; "chaos-off" ]
+let opt_in = [ "observers-off"; "chaos-off" ]
 
 let main only list fast json_path trace_path snapshot =
   if list then
@@ -686,7 +700,7 @@ let main only list fast json_path trace_path snapshot =
     Printf.printf "[host] wrote %s (%s)\n%!" json_path
       (String.concat ", " (List.map fst sections));
     if want "chaos-off" then check_chaos_off snapshot mechs;
-    if want "spans-off" then check_spans_off ();
+    if want "observers-off" then check_observers_off ();
     Option.iter (check_snapshot mechs) snapshot
   end
 

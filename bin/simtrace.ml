@@ -128,37 +128,17 @@ let setup_fs k =
     log — recorded kernel-side through the shared {!Strace} decoder,
     so it carries results with errno names and covers every dispatch
     (including [--mech none], which no interposer hook would see). *)
-let execute ?tracer ?metrics ?profiler ?auditor ?obs ?prov ?policy ?blocks
-    file mech jit preserve_xstate =
+let execute ?policy ?blocks observers file mech jit preserve_xstate =
   let src = read_file file in
   let k = Kernel.create ?blocks () in
-  k.Types.tracer <- tracer;
-  (match metrics with Some m -> Kernel.attach_metrics k m | None -> ());
-  (match auditor with Some a -> Kernel.attach_audit k a | None -> ());
-  (match obs with Some o -> Divergence.attach_obs k o | None -> ());
-  (match prov with Some p -> Kernel.attach_prov k p | None -> ());
+  List.iter (Kernel.observe k) observers;
   (match policy with Some p -> Kernel.attach_policy k p | None -> ());
   setup_fs k;
   let img =
     if jit then Minicc.Jit.driver_image src
     else Minicc.Codegen.compile_to_image src
   in
-  (match prov with
-  | Some p -> Sim_obs.Provenance.add_symbols p img.Types.img_symbols
-  | None -> ());
-  (match profiler with
-  | Some p ->
-      k.Types.profiler <- Some p;
-      (* The kernel knows nothing about the interposer's address-space
-         layout; the CLI does, so it registers the regions the sampler
-         should attribute to the mechanism rather than the guest. *)
-      Sim_metrics.Profiler.add_region p ~lo:0 ~hi:Sim_mem.Mem.page_size
-        ~name:"zpoline-trampoline";
-      Sim_metrics.Profiler.add_region p ~lo:Lazypoline.Layout.interp_code_base
-        ~hi:(Lazypoline.Layout.interp_code_base + 0x10000)
-        ~name:"interposer";
-      Sim_metrics.Profiler.add_symbols p img.Types.img_symbols
-  | None -> ());
+  if observers <> [] then Types.emit k (Types.Symbols img.Types.img_symbols);
   let t = Kernel.spawn k img in
   let log = Strace.attach k in
   let hook = Hook.strace () |> fst in
@@ -238,29 +218,31 @@ let print_phase_summary (o : Sim_obs.Obs.t) (k : Types.kernel) =
   Printf.eprintf "  %-12s %14Ld\n" "total" total
 
 let run_cmd file mech jit preserve_xstate summary no_blocks =
-  let tracer =
-    if summary then Some (Sim_trace.Tracer.create ~ncpus:1 ()) else None
+  let tr = Sim_trace.Tracer.create ~ncpus:1 () in
+  let o = Sim_obs.Obs.create ~ncpus:1 () in
+  let observers =
+    if summary then [ Observers.tracer tr; Divergence.spans o ] else []
   in
-  let obs = if summary then Some (Sim_obs.Obs.create ~ncpus:1 ()) else None in
   let block_before = Sim_cpu.Icache.block_totals () in
   let retired_before = !Sim_cpu.Ctx.retired in
   let blocks = if no_blocks then Some false else None in
-  let k, t, log = execute ?tracer ?obs ?blocks file mech jit preserve_xstate in
+  let k, t, log = execute ?blocks observers file mech jit preserve_xstate in
   List.iter (fun l -> Printf.eprintf "%s\n" l) (List.rev !log);
   Printf.eprintf "+++ exited with %d (%Ld cycles) +++\n" t.Types.exit_code
     t.Types.tcycles;
-  (match tracer with
-  | Some tr ->
-      print_summary tr;
-      print_block_summary ~before:block_before ~retired_before
-  | None -> ());
-  (match obs with Some o -> print_phase_summary o k | None -> ());
+  if summary then begin
+    print_summary tr;
+    print_block_summary ~before:block_before ~retired_before;
+    print_phase_summary o k
+  end;
   if t.Types.exit_code <> 0 then exit t.Types.exit_code
 
 let trace_cmd file mech jit preserve_xstate out no_blocks =
   let tr = Sim_trace.Tracer.create ~ncpus:1 () in
   let blocks = if no_blocks then Some false else None in
-  let _k, t, _log = execute ~tracer:tr ?blocks file mech jit preserve_xstate in
+  let _k, t, _log =
+    execute ?blocks [ Observers.tracer tr ] file mech jit preserve_xstate
+  in
   let json =
     Sim_trace.Export.chrome_json ~name_of_nr:Defs.syscall_name
       ~name:(Filename.basename file)
@@ -278,7 +260,9 @@ let trace_cmd file mech jit preserve_xstate out no_blocks =
 let report_cmd file mech jit preserve_xstate no_blocks =
   let tr = Sim_trace.Tracer.create ~ncpus:1 () in
   let blocks = if no_blocks then Some false else None in
-  let _k, t, _log = execute ~tracer:tr ?blocks file mech jit preserve_xstate in
+  let _k, t, _log =
+    execute ?blocks [ Observers.tracer tr ] file mech jit preserve_xstate
+  in
   print_string (Sim_trace.Summary.report ~name_of_nr:Defs.syscall_name tr);
   if t.Types.exit_code <> 0 then exit t.Types.exit_code
 
@@ -287,7 +271,9 @@ let report_cmd file mech jit preserve_xstate no_blocks =
 let stat_cmd file mech jit preserve_xstate format no_blocks =
   let m = Kmetrics.create () in
   let blocks = if no_blocks then Some false else None in
-  let _k, t, _log = execute ~metrics:m ?blocks file mech jit preserve_xstate in
+  let _k, t, _log =
+    execute ?blocks [ Observers.metrics m ] file mech jit preserve_xstate
+  in
   (match format with
   | "prometheus" -> print_string (Kmetrics.prometheus m)
   | "json" -> print_string (Kmetrics.to_json m)
@@ -329,8 +315,16 @@ let stat_cmd file mech jit preserve_xstate format no_blocks =
     flamegraph.pl. *)
 let profile_cmd file mech jit preserve_xstate out period no_blocks =
   let p = Sim_metrics.Profiler.create ~period () in
+  (* The kernel knows nothing about the interposer's address-space
+     layout; the CLI does, so it registers the regions the sampler
+     should attribute to the mechanism rather than the guest. *)
+  List.iter
+    (fun (lo, hi, name) -> Sim_metrics.Profiler.add_region p ~lo ~hi ~name)
+    Lazypoline.Layout.interposer_windows;
   let blocks = if no_blocks then Some false else None in
-  let _k, t, _log = execute ~profiler:p ?blocks file mech jit preserve_xstate in
+  let _k, t, _log =
+    execute ?blocks [ Observers.profiler p ] file mech jit preserve_xstate
+  in
   let folded = Sim_metrics.Profiler.folded p in
   let oc = open_out out in
   Fun.protect
@@ -354,7 +348,9 @@ let sites_cmd file mech jit preserve_xstate flame out limit no_blocks =
   let module P = Sim_obs.Provenance in
   let p = P.create () in
   let blocks = if no_blocks then Some false else None in
-  let _k, t, _log = execute ~prov:p ?blocks file mech jit preserve_xstate in
+  let _k, t, _log =
+    execute ?blocks [ Observers.ledger p ] file mech jit preserve_xstate
+  in
   print_string (P.table ~limit p);
   Printf.printf
     "\n%d distinct site(s), %d rewritten; unwind: %d/%d resolved (%.1f%%), %d \
@@ -392,7 +388,9 @@ let audit_header file mech jit preserve_xstate checkpoint_every =
     body (events, checkpoints, final state hash). *)
 let audited_run file mech jit preserve_xstate checkpoint_every =
   let a = Audit.create ~checkpoint_every () in
-  let k, t, _log = execute ~auditor:a file mech jit preserve_xstate in
+  let k, t, _log =
+    execute [ Observers.auditor a ] file mech jit preserve_xstate
+  in
   let final = Kernel.audit_final_hash k a in
   (a, t, Divergence.log_string ~final_hash:final a)
 
@@ -572,7 +570,11 @@ let spans_cmd mech flavour size_kb conns requests out record_out no_blocks =
   (* the provenance ledger feeds each exemplar's hottest call site *)
   let p = Sim_obs.Provenance.create () in
   let workload = Divergence.Wrk { flavour; size_kb; conns; requests } in
-  let a, k, _t = Divergence.run_audited ?blocks ~obs:o ~prov:p dmech workload in
+  let a, k, _t =
+    Divergence.run_audited ?blocks
+      ~observers:[ Divergence.spans o; Observers.ledger p ]
+      dmech workload
+  in
   let clks = Types.clocks k in
   print_string
     (Sim_obs.Obs.report ~name_of_nr:Defs.syscall_name
@@ -818,7 +820,7 @@ let policy_extract_cmd file jit out =
 let policy_run ~mode file policy_file mech jit preserve_xstate =
   let g = load_graph policy_file in
   let p = Policy.create ~mode g in
-  let _k, t, _log = execute ~policy:p file mech jit preserve_xstate in
+  let _k, t, _log = execute ~policy:p [] file mech jit preserve_xstate in
   print_string (Policy.summary ~syscall_name:Defs.syscall_name p);
   (p, t)
 
@@ -850,7 +852,7 @@ let policy_report_cmd file mech jit preserve_xstate =
       (read_file file)
   in
   let p = Policy.create ~mode:Policy.Report g in
-  let _k, _t, _log = execute ~policy:p file mech jit preserve_xstate in
+  let _k, _t, _log = execute ~policy:p [] file mech jit preserve_xstate in
   print_string (Policy.summary ~syscall_name:Defs.syscall_name p);
   if Policy.violation_count p > 0 then exit 1
 

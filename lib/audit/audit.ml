@@ -105,15 +105,10 @@ type entry = {
 
 (** Register captures are packed as consecutive little-endian 64-bit
     words, one string per capture: a capture then retains one block
-    instead of an array of boxed values.  [words s] unpacks one,
-    [pack] is the inverse. *)
+    instead of an array of boxed values ([Cpu.pack_regs] builds
+    one).  [words s] unpacks one. *)
 let words s =
   Array.init (String.length s / 8) (fun i -> String.get_int64_le s (8 * i))
-
-let pack (vs : int64 array) =
-  let b = Bytes.create (8 * Array.length vs) in
-  Array.iteri (fun i v -> Bytes.set_int64_le b (8 * i) v) vs;
-  Bytes.unsafe_to_string b
 
 type checkpoint = { ck_seq : int; ck_app_seq : int; ck_tid : int; ck_hash : int64 }
 type row = Rev of entry | Rck of checkpoint

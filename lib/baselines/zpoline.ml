@@ -136,29 +136,21 @@ let rewrite_image (st : t) (t : task) =
         List.iter
           (fun off -> begin
             Mem.poke_bytes t.mem (addr + off) "\xff\xd0";
-            (match st.kernel.prov with
-            | Some p ->
-                Sim_obs.Provenance.note_rewrite p ~site:(addr + off)
-                  ~kind:Sim_obs.Provenance.Rw_sweep
-                  ~now:(Int64.of_int (now st.kernel))
-            | None -> ());
+            if st.kernel.observers <> [] then
+              emit st.kernel
+                (Rewrite
+                   { site = addr + off; how = Sim_obs.Provenance.Rw_sweep });
             incr n
           end)
           (Disasm.find_syscall_sites code)
       end)
     (Mem.regions t.mem);
   st.stats.sites_rewritten <- st.stats.sites_rewritten + !n;
-  if st.kernel.tracer <> None then
-    Types.trace_emit st.kernel
-      (Sim_trace.Event.Sweep
-         { sites = !n; bytes_scanned = st.stats.bytes_scanned });
-  (match st.kernel.metrics with
-  | Some m ->
-      incr m.Kmetrics.sweeps;
-      Kmetrics.add m.Kmetrics.sweep_sites !n;
-      Kmetrics.add m.Kmetrics.sweep_bytes st.stats.bytes_scanned;
-      Kmetrics.add m.Kmetrics.rewrites !n
-  | None -> ());
+  if st.kernel.observers <> [] then
+    emit st.kernel
+      (Trace
+         (Sim_trace.Event.Sweep
+            { sites = !n; bytes_scanned = st.stats.bytes_scanned }));
   !n
 
 (** Install zpoline into [t]'s process: map the trampoline page at VA

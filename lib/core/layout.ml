@@ -28,6 +28,16 @@ let trampoline_blob ~entry : Asm.blob =
 let interp_code_base = 0x1000_0000
 let interp_data_base = 0x1001_0000 (* scratch page, RW *)
 
+(** The interposers' code windows as [(lo, hi, name)]: zpoline's
+    trampoline page and the interposer code region.  Observers (the
+    profiler, the span recorder) attribute rips there to the
+    mechanism, and the chaos engine treats them as hot. *)
+let interposer_windows =
+  [
+    (trampoline_base, trampoline_base + 4096, "zpoline-trampoline");
+    (interp_code_base, interp_code_base + 0x10000, "interposer");
+  ]
+
 (* Scratch-page offsets (interposer-private data). *)
 let scratch_lock = 0 (* rewrite spinlock word *)
 let scratch_sigaction = 64 (* staging area for modified sigactions *)

@@ -92,13 +92,11 @@ let set_selector (t : task) v = gs_write_u8 t Layout.gs_selector v
    stores and stay untraced.) *)
 let set_selector_traced (st : t) (tk : task) v =
   set_selector tk v;
-  if st.kernel.tracer <> None then
-    trace_emit st.kernel
-      (Sim_trace.Event.Selector_flip
-         { allow = v = Defs.syscall_dispatch_filter_allow });
-  match st.kernel.metrics with
-  | Some m -> incr m.Kmetrics.selector_flips
-  | None -> ()
+  if st.kernel.observers <> [] then
+    emit st.kernel
+      (Trace
+         (Sim_trace.Event.Selector_flip
+            { allow = v = Defs.syscall_dispatch_filter_allow }))
 
 (* Scribble over the caller-saved vector registers, as interposer C
    code compiled with SSE would. *)
@@ -259,19 +257,18 @@ let emulate_sigaction (st : t) (k : kernel) (t : task) =
      it), but it *is* part of the application's observable syscall
      history — synthesize the audit record the dispatcher would have
      produced, so a lazypoline stream still matches a raw run. *)
-  (match k.auditor with
-  | Some a ->
-      let module A = Sim_audit.Audit in
-      let args = Cpu.pack_regs c Hook.arg_regs in
-      let path =
-        match t.trace_path with
-        | Some p -> p
-        | None -> Sim_trace.Event.Fast_path
-      in
-      A.record_syscall a ~tid:t.tid ~scope:A.App ~nr:Defs.sys_rt_sigaction
-        ~args ~ret:(Some result) ~path c;
-      if A.checkpoint_due a then A.take_checkpoint a ~tid:t.tid c t.mem
-  | None -> ());
+  if k.observers <> [] then
+    finish k
+      (Syscall_result
+         {
+           task = t; nr = Defs.sys_rt_sigaction;
+           path =
+             (match t.trace_path with
+             | Some p -> p
+             | None -> Sim_trace.Event.Fast_path);
+           args = Cpu.pack_regs c Hook.arg_regs; ts0 = now k;
+           serviced = now k; ret = result; blocked = false; scope = App;
+         });
   (* The suppressed syscall never dispatches: a dispatch-path tag
      staged for it (SUD slow path) must not leak onto the next one. *)
   t.trace_path <- None;
@@ -487,15 +484,8 @@ let hyper_sigsys (st : t) (k : kernel) (t : task) =
         (Kernel.kernel_syscall k t Defs.sys_mprotect
            [| i64 page; i64 len; i64 (prot_of orig_perm) |]);
       st.stats.rewrites <- st.stats.rewrites + 1;
-      if k.tracer <> None then trace_emit k (Sim_trace.Event.Rewrite { site });
-      (match k.metrics with
-      | Some m -> incr m.Kmetrics.rewrites
-      | None -> ());
-      (match k.prov with
-      | Some p ->
-          Sim_obs.Provenance.note_rewrite p ~site
-            ~kind:Sim_obs.Provenance.Rw_lazy ~now:(Int64.of_int (now k))
-      | None -> ())
+      if k.observers <> [] then
+        emit k (Rewrite { site; how = Sim_obs.Provenance.Rw_lazy })
   | _ -> ()
   | exception Mem.Fault _ -> ());
   (* Redirect the interrupted context to the shared entry point,
@@ -660,16 +650,8 @@ let rewrite_site (st : t) (t : task) ~addr =
   match Mem.peek_bytes t.mem addr 2 with
   | "\x0f\x05" ->
       Mem.poke_bytes t.mem addr "\xff\xd0";
-      if st.kernel.tracer <> None then
-        trace_emit st.kernel (Sim_trace.Event.Rewrite { site = addr });
-      (match st.kernel.metrics with
-      | Some m -> incr m.Kmetrics.rewrites
-      | None -> ());
-      (match st.kernel.prov with
-      | Some p ->
-          Sim_obs.Provenance.note_rewrite p ~site:addr
-            ~kind:Sim_obs.Provenance.Rw_manual
-            ~now:(Int64.of_int (now st.kernel))
-      | None -> ())
+      if st.kernel.observers <> [] then
+        emit st.kernel
+          (Rewrite { site = addr; how = Sim_obs.Provenance.Rw_manual })
   | _ -> invalid_arg "rewrite_site: not a syscall instruction"
   | exception Mem.Fault _ -> invalid_arg "rewrite_site: unmapped"

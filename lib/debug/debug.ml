@@ -201,7 +201,11 @@ let reg_of_name name =
 (* ------------------------------------------------------------------ *)
 (* Session                                                             *)
 
-type live = { lk : Types.kernel; la : A.t }
+type live = {
+  lk : Types.kernel;
+  la : A.t;
+  lp : Sim_obs.Provenance.t;  (** the call-site ledger riding along *)
+}
 
 type t = {
   log : log;
@@ -301,7 +305,8 @@ let make_live s : live =
   let a = A.create ~checkpoint_every:s.log.l_cadence () in
   let k = Kernel.create ?blocks:s.blocks () in
   Kernel.attach_audit k a;
-  Kernel.attach_prov k (Sim_obs.Provenance.create ());
+  let p = Sim_obs.Provenance.create () in
+  Kernel.observe k (Observers.ledger p);
   ignore (Vfs.add_file k.Types.vfs "/etc/hosts" "127.0.0.1 localhost\n");
   ignore (Vfs.add_file k.Types.vfs "/tmp/file_a" (String.make 256 'a'));
   let t = D.workload_spawn k s.workload in
@@ -313,7 +318,7 @@ let make_live s : live =
      which makes the earliest reachable position for such logs the
      end of that prefix rather than 0. *)
   D.workload_start k s.workload;
-  { lk = k; la = a }
+  { lk = k; la = a; lp = p }
 
 (** Verify that the events replayed so far are a prefix of the log. *)
 let verify s (lv : live) : (unit, string) result =
@@ -551,20 +556,15 @@ let reverse_continue s (w : watch) : int option =
 
 module P = Sim_obs.Provenance
 
-let prov_of (lv : live) = lv.lk.Types.prov
-
 (** The per-call-site ledger of the replayed prefix at the cursor —
     built by the provenance recorder riding on every replay. *)
 let sites_listing s : string =
   ensure_live s;
   match s.live with
   | None -> "no live replay; seek first"
-  | Some lv -> (
-      match prov_of lv with
-      | None -> "no provenance ledger on the replay kernel"
-      | Some p ->
-          Printf.sprintf "call sites of the replayed prefix (cursor #%d):\n%s"
-            s.cursor (P.table p))
+  | Some lv ->
+      Printf.sprintf "call sites of the replayed prefix (cursor #%d):\n%s"
+        s.cursor (P.table lv.lp)
 
 (** Seek to the first audited app syscall issued from call site [pc]:
     one full verified replay builds the whole-log ledger, whose
@@ -577,36 +577,34 @@ let seek_site s pc : (string, string) result =
     | Some lv when s.cursor = n_events s -> lv
     | _ -> materialize s (n_events s)
   in
-  match prov_of full with
-  | None -> Error "no provenance ledger on the replay kernel"
-  | Some p -> (
-      match List.filter (fun st -> st.P.s_pc = pc) (P.sites_sorted p) with
-      | [] ->
-          Error
-            (Printf.sprintf
-               "no audited syscall from call site 0x%x (%d site(s) in the log; \
-                try: sites)"
-               pc (P.distinct_sites p))
-      | l ->
-          let ev =
-            List.fold_left (fun acc st -> min acc st.P.s_first_ev) max_int l
-          in
-          if ev < 1 then
-            Error
-              (Printf.sprintf "site 0x%x has no recorded audit event index" pc)
-          else begin
-            (* keep the full replay live: a forward seek from the end
-               would be wasted, but the backward seek below replays
-               bounded to [ev] and verifies like any other motion *)
-            s.live <- Some full;
-            s.cursor <- n_events s;
-            seek s (min ev (n_events s));
-            Ok
-              (Printf.sprintf "site 0x%x (%s): %d audited syscall(s), first at #%d"
-                 pc (P.symbolize p pc)
-                 (List.fold_left (fun acc st -> acc + P.site_count st) 0 l)
-                 ev)
-          end)
+  let p = full.lp in
+  match List.filter (fun st -> st.P.s_pc = pc) (P.sites_sorted p) with
+  | [] ->
+      Error
+        (Printf.sprintf
+           "no audited syscall from call site 0x%x (%d site(s) in the log; \
+            try: sites)"
+           pc (P.distinct_sites p))
+  | l ->
+      let ev =
+        List.fold_left (fun acc st -> min acc st.P.s_first_ev) max_int l
+      in
+      if ev < 1 then
+        Error
+          (Printf.sprintf "site 0x%x has no recorded audit event index" pc)
+      else begin
+        (* keep the full replay live: a forward seek from the end
+           would be wasted, but the backward seek below replays
+           bounded to [ev] and verifies like any other motion *)
+        s.live <- Some full;
+        s.cursor <- n_events s;
+        seek s (min ev (n_events s));
+        Ok
+          (Printf.sprintf "site 0x%x (%s): %d audited syscall(s), first at #%d"
+             pc (P.symbolize p pc)
+             (List.fold_left (fun acc st -> acc + P.site_count st) 0 l)
+             ev)
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)
@@ -745,9 +743,11 @@ let info s : string =
 (** Record [workload] under [mech] and render the full versioned log —
     header, rows, final state hash — exactly as [simtrace record]
     writes it. *)
-let record ?(checkpoint_every = 64) ?blocks ?obs ?(header = []) mech workload
-    : string =
-  let a, k, _ = D.run_audited ~checkpoint_every ?blocks ?obs mech workload in
+let record ?(checkpoint_every = 64) ?blocks ?observers ?(header = []) mech
+    workload : string =
+  let a, k, _ =
+    D.run_audited ~checkpoint_every ?blocks ?observers mech workload
+  in
   let fh = Kernel.audit_final_hash k a in
   let buf = Buffer.create 4096 in
   let module Art = Sim_artifact.Artifact in

@@ -360,10 +360,9 @@ let workload_spawn k workload : Types.task =
   | w ->
       let img = workload_image k w in
       (* The provenance ledger symbolizes unwound PCs through the
-         image's symbol table; register it before any code runs. *)
-      (match k.Types.prov with
-      | Some p -> Sim_obs.Provenance.add_symbols p img.Types.img_symbols
-      | None -> ());
+         image's symbol table; announce it before any code runs. *)
+      if k.Types.observers <> [] then
+        Types.emit k (Types.Symbols img.Types.img_symbols);
       Kernel.spawn k img
 
 (** Post-install start-up: for [Wrk], run the kernel until the server
@@ -379,15 +378,14 @@ let workload_start k workload =
            ~file:wrk_file ~file_size:(size_kb * 1024))
   | _ -> ()
 
-(** Register the interposer code windows (trampoline page, interposer
-    code region) with the span recorder — so cycles retired there are
-    attributed to the interposition phase — and attach it to [k].
-    The same windows the chaos engine treats as hot. *)
-let attach_obs (k : Types.kernel) (o : Sim_obs.Obs.t) =
-  Sim_obs.Obs.add_range o ~lo:0 ~hi:4096;
-  Sim_obs.Obs.add_range o ~lo:Lazypoline.Layout.interp_code_base
-    ~hi:(Lazypoline.Layout.interp_code_base + 0x10000);
-  Kernel.attach_obs k o
+(** The span-recorder subscriber for [o], with the interposer code
+    windows registered so cycles retired there are attributed to the
+    interposition phase. *)
+let spans (o : Sim_obs.Obs.t) : Types.observer =
+  List.iter
+    (fun (lo, hi, _) -> Sim_obs.Obs.add_range o ~lo ~hi)
+    Lazypoline.Layout.interposer_windows;
+  Observers.spans o
 
 (* ------------------------------------------------------------------ *)
 (* Audited runs                                                        *)
@@ -409,25 +407,23 @@ type perturb = { at : int; reg : int; value : int64 }
     callee-saved state.  [blocks] forces the threaded-code block
     engine on/off for the run (default: the kernel's
     [SIM_NO_BLOCKS]-aware default) — the lever for the engine-identity
-    gates.  [prov] attaches a syscall-provenance ledger (guest stack
-    unwinding + per-call-site counters), with the workload image's
-    symbols registered at spawn; observation-only, like [obs].
-    [policy] attaches a syscall-flow-integrity engine:
+    gates.  [observers] subscribe after the auditor and are told the
+    workload image's symbols at spawn (see {!spans} for the span
+    recorder).  [policy] attaches a syscall-flow-integrity engine:
     observation-only in report/learning mode, intrusive in deny/kill
     mode. *)
 let run_audited ?(checkpoint_every = 64) ?stop_after ?perturb ?chaos ?blocks
-    ?obs ?prov ?policy mech workload : A.t * Types.kernel * Types.task =
+    ?(observers = []) ?policy mech workload : A.t * Types.kernel * Types.task =
   let a = A.create ~checkpoint_every ?stop_after () in
   let k = Kernel.create ?blocks () in
   Kernel.attach_audit k a;
-  (match obs with Some o -> attach_obs k o | None -> ());
-  (match prov with Some p -> Kernel.attach_prov k p | None -> ());
+  List.iter (Kernel.observe k) observers;
   (match policy with Some p -> Kernel.attach_policy k p | None -> ());
   (match chaos with
   | Some ch ->
-      Sim_chaos.Chaos.add_hot_range ch ~lo:0 ~hi:4096;
-      Sim_chaos.Chaos.add_hot_range ch ~lo:Lazypoline.Layout.interp_code_base
-        ~hi:(Lazypoline.Layout.interp_code_base + 0x10000);
+      List.iter
+        (fun (lo, hi, _) -> Sim_chaos.Chaos.add_hot_range ch ~lo ~hi)
+        Lazypoline.Layout.interposer_windows;
       Kernel.attach_chaos k ch
   | None -> ());
   (* The same fixture files simtrace mounts, so `simtrace diff` on a

@@ -29,7 +29,7 @@ let blocks_default () =
   | _ -> true
 
 let create ?(ncpus = 1) ?(cost = Sim_costs.Cost_model.default)
-    ?(slice = 4000L) ?(icache = true) ?blocks () : kernel =
+    ?(icache = true) ?blocks () : kernel =
   let blocks =
     match blocks with Some b -> b | None -> blocks_default ()
   in
@@ -47,22 +47,19 @@ let create ?(ncpus = 1) ?(cost = Sim_costs.Cost_model.default)
       rng = Random.State.make [| 0x1a2b; 0x90c1 |];
       programs = Hashtbl.create 4;
       actors = [];
-      slice;
-      slice_end = Int64.to_int slice;
+      slice_end = quantum;
       strace = None;
-      tracer = None;
+      observers = [];
       metrics = None;
-      profiler = None;
       in_kernel = 0;
+      cur_nr = -1;
+      app_index = -1;
       halted = false;
       cur_task = None;
       cur_cycles = 0;
       icache_on = icache;
       blocks_on = blocks;
-      auditor = None;
       chaos = None;
-      obs = None;
-      prov = None;
       policy = None;
     }
   in
@@ -71,163 +68,11 @@ let create ?(ncpus = 1) ?(cost = Sim_costs.Cost_model.default)
   Procfs.mount k;
   k
 
-(** Attach a metrics registry to [k] and register the kernel-derived
-    probes: the process-wide decoded-icache counters (promoted into
-    the registry without touching their hot-path [int ref]s) and the
-    scheduler's runqueue depth.  Probes are sampled at scrape time
-    only. *)
-let attach_metrics (k : kernel) (m : Kmetrics.t) =
-  k.metrics <- Some m;
-  let open Sim_metrics in
-  let r = m.Kmetrics.registry in
-  Metrics.probe r ~help:"decoded-icache hits (process-wide)"
-    "sim_icache_hits_total" (fun () -> !Icache.g_hits);
-  Metrics.probe r ~help:"decoded-icache misses (process-wide)"
-    "sim_icache_misses_total" (fun () -> !Icache.g_misses);
-  Metrics.probe r ~help:"decoded-icache page invalidations (process-wide)"
-    "sim_icache_invalidations_total" (fun () -> !Icache.g_invalidations);
-  Metrics.probe r ~help:"decoded-icache uncached-path fallbacks (process-wide)"
-    "sim_icache_fallbacks_total" (fun () -> !Icache.g_fallbacks);
-  Metrics.probe r ~help:"threaded-code blocks compiled (process-wide)"
-    "sim_blocks_compiled_total" (fun () -> !Icache.g_blocks_compiled);
-  Metrics.probe r ~help:"threaded-code block entries (process-wide)"
-    "sim_block_hits_total" (fun () -> !Icache.g_block_hits);
-  Metrics.probe r
-    ~help:"threaded-code blocks killed by page invalidation (process-wide)"
-    "sim_block_kills_total" (fun () -> !Icache.g_block_kills);
-  Metrics.probe r
-    ~help:"instructions retired inside compiled blocks (process-wide)"
-    "sim_block_insns_total" (fun () -> !Icache.g_block_insns);
-  Metrics.probe r
-    ~help:"block-engine fallbacks: offset below the heat threshold"
-    "sim_block_fallback_cold_total" (fun () -> !Icache.g_block_fb_cold);
-  Metrics.probe r
-    ~help:"block-engine fallbacks: offset cannot head a block"
-    "sim_block_fallback_uncompilable_total" (fun () ->
-      !Icache.g_block_fb_uncompilable);
-  Metrics.probe r
-    ~help:"block-engine fallbacks: register-access hook installed"
-    "sim_block_fallback_hooked_total" (fun () -> !Icache.g_block_fb_hooked);
-  Metrics.probe r ~help:"block exits: ran to the last op"
-    "sim_block_exit_end_total" (fun () -> !Icache.g_bexit_end);
-  Metrics.probe r ~help:"block exits: slice budget exhausted"
-    "sim_block_exit_budget_total" (fun () -> !Icache.g_bexit_budget);
-  Metrics.probe r ~help:"block exits: store invalidated the executing block"
-    "sim_block_exit_smc_total" (fun () -> !Icache.g_bexit_smc);
-  Metrics.probe r ~help:"block exits: op faulted"
-    "sim_block_exit_fault_total" (fun () -> !Icache.g_bexit_fault);
-  Metrics.probe r ~help:"block exits: chaos preemption fired mid-block"
-    "sim_block_exit_preempt_total" (fun () -> !Icache.g_bexit_preempt);
-  Metrics.probe r ~help:"tasks in runnable state" "sim_sched_runnable"
-    (fun () ->
-      Hashtbl.fold
-        (fun _ t acc -> if t.state = Runnable then acc + 1 else acc)
-        k.tasks 0);
-  Metrics.probe r ~help:"tasks alive (any state)" "sim_tasks" (fun () ->
-      Hashtbl.length k.tasks);
-  Metrics.probe r ~help:"earliest per-CPU simulated clock" "sim_cycles"
-    (fun () -> min_clock k);
-  (* Observation-integrity probes: if any of these is nonzero the
-     span/trace attribution is incomplete and the gated macrobench
-     must fail.  Scrape-time thunks close over [k], so they read
-     whatever tracer/span recorder is attached at scrape time. *)
-  for cpu = 0 to Array.length k.cpus - 1 do
-    Metrics.probe r
-      ~help:"trace-ring events dropped on this CPU (ring overflow)"
-      (Printf.sprintf "sim_trace_ring_dropped_cpu%d" cpu)
-      (fun () ->
-        match k.tracer with
-        | Some tr -> Sim_trace.Tracer.dropped_on tr cpu
-        | None -> 0)
-  done;
-  Metrics.probe r ~help:"trace-ring events dropped (all CPUs)"
-    "sim_trace_ring_dropped_total" (fun () ->
-      match k.tracer with Some tr -> Sim_trace.Tracer.dropped tr | None -> 0);
-  Metrics.probe r
-    ~help:"requests dropped at issue: span in-flight table full"
-    "sim_obs_inflight_overflow_total" (fun () ->
-      match k.obs with Some o -> Sim_obs.Obs.overflow o | None -> 0);
-  Metrics.probe r
-    ~help:"exemplars evicted from the slow-request reservoir (informational)"
-    "sim_obs_reservoir_evictions_total" (fun () ->
-      match k.obs with Some o -> Sim_obs.Obs.evictions o | None -> 0);
-  Metrics.probe r ~help:"requests issued (span recorder)"
-    "sim_obs_requests_issued_total" (fun () ->
-      match k.obs with Some o -> Sim_obs.Obs.issued o | None -> 0);
-  Metrics.probe r ~help:"requests completed (span recorder)"
-    "sim_obs_requests_completed_total" (fun () ->
-      match k.obs with Some o -> Sim_obs.Obs.completed_count o | None -> 0);
-  (* Provenance-integrity probes: unwinder health and ledger bounds.
-     A resolved count far below attempts, or a nonzero dropped count,
-     means per-site attribution is incomplete — the bench sweep gates
-     on the success rate. *)
-  Metrics.probe r ~help:"guest backtrace attempts (provenance ledger)"
-    "sim_site_unwind_attempts_total" (fun () ->
-      match k.prov with
-      | Some p -> Sim_obs.Provenance.unwind_attempts p
-      | None -> 0);
-  Metrics.probe r
-    ~help:"guest backtraces that recovered at least one frame"
-    "sim_site_unwind_resolved_total" (fun () ->
-      match k.prov with
-      | Some p -> Sim_obs.Provenance.unwind_resolved p
-      | None -> 0);
-  Metrics.probe r ~help:"distinct (site, nr) ledger entries"
-    "sim_site_distinct" (fun () ->
-      match k.prov with
-      | Some p -> Sim_obs.Provenance.distinct_sites p
-      | None -> 0);
-  Metrics.probe r ~help:"distinct rewritten sites stamped on the ledger"
-    "sim_site_rewrites" (fun () ->
-      match k.prov with
-      | Some p -> Sim_obs.Provenance.rewrite_count p
-      | None -> 0);
-  Metrics.probe r
-    ~help:"dispatches dropped by the ledger's site-table cap"
-    "sim_site_dropped_total" (fun () ->
-      match k.prov with
-      | Some p -> Sim_obs.Provenance.sites_dropped p
-      | None -> 0);
-  (* Syscall-flow-integrity probes. *)
-  Metrics.probe r ~help:"policy-engine dispatch checks"
-    "sim_policy_checks_total" (fun () ->
-      match k.policy with Some p -> p.Policy.checks | None -> 0);
-  Metrics.probe r ~help:"policy violations (all kinds)"
-    "sim_policy_violations_total" (fun () ->
-      match k.policy with
-      | Some p -> Policy.violation_count p
-      | None -> 0);
-  List.iter
-    (fun (kind, leaf) ->
-      Metrics.probe r
-        ~help:(Printf.sprintf "policy violations: %s check failed" leaf)
-        (Printf.sprintf "sim_policy_violations_%s_total" leaf)
-        (fun () ->
-          match k.policy with
-          | Some p -> Policy.kind_count p kind
-          | None -> 0))
-    [
-      (Policy.Vnode, "node");
-      (Policy.Vedge, "edge");
-      (Policy.Vsite, "site");
-      (Policy.Vcompartment, "compartment");
-    ];
-  Metrics.probe r ~help:"syscalls failed with -EPERM by the policy engine"
-    "sim_policy_denied_total" (fun () ->
-      match k.policy with Some p -> p.Policy.denied | None -> 0);
-  Metrics.probe r ~help:"tasks killed by the policy engine"
-    "sim_policy_killed_total" (fun () ->
-      match k.policy with Some p -> p.Policy.killed | None -> 0)
+(** Subscribe an observer to [k]'s event stream (DESIGN.md §17). *)
+let observe = Observers.observe
 
-let enable_metrics (k : kernel) : Kmetrics.t =
-  let m = match k.metrics with Some m -> m | None -> Kmetrics.create () in
-  attach_metrics k m;
-  m
-
-(** Attach a divergence auditor.  Observation-only: recording never
-    charges cycles, so an audited run is cycle- and state-identical to
-    an unaudited one (asserted by a qcheck property in test_audit). *)
-let attach_audit (k : kernel) (a : Sim_audit.Audit.t) = k.auditor <- Some a
+let attach_metrics k m = observe k (Observers.metrics m)
+let attach_audit k a = observe k (Observers.auditor a)
 
 (** Attach a chaos engine.  Unlike the observers it perturbs the run
     on purpose; but its decision sites never charge cycles, so an
@@ -235,23 +80,6 @@ let attach_audit (k : kernel) (a : Sim_audit.Audit.t) = k.auditor <- Some a
     empty forced set) leaves the run bit-identical to a chaos-free
     one (asserted by a qcheck property in test_chaos). *)
 let attach_chaos (k : kernel) (ch : Sim_chaos.Chaos.t) = k.chaos <- Some ch
-
-(** Attach a request-flow span recorder.  Observation-only like the
-    tracer: the hooks in {!Types.charge}, the scheduler and the
-    socket read path never charge cycles or touch task state, so a
-    spanned run is bit-identical to an unspanned one (the qcheck
-    gate in test_obs).  Baselines the per-CPU clocks so machine
-    totals measure from attach time. *)
-let attach_obs (k : kernel) (o : Sim_obs.Obs.t) =
-  k.obs <- Some o;
-  Sim_obs.Obs.set_baseline o (clocks k)
-
-(** Attach a provenance ledger.  Observation-only like the tracer:
-    recording a dispatch walks guest frames with faulting-safe reads
-    and never charges cycles or touches task state, so a provenanced
-    run is bit-identical to a bare one (the qcheck gate in
-    test_obs). *)
-let attach_prov (k : kernel) (p : Sim_obs.Provenance.t) = k.prov <- Some p
 
 (** Attach a syscall-flow-integrity policy engine.  In report (or
     learning) mode it is observation-only like the tracer — checking
@@ -547,7 +375,7 @@ let do_fork (k : kernel) (t : task) ~vm ~files ~sighand ~stack ~tls ~thread =
   Cpu.poke_reg child.ctx Isa.rax 0L;
   t.children <- child_tid :: t.children;
   Hashtbl.replace k.tasks child_tid child;
-  if k.tracer <> None then trace_emit k (Ev.Task_spawn { child_tid });
+  if k.observers <> [] then emit k (Trace (Ev.Task_spawn { child_tid }));
   child
 
 let find_zombie_child (k : kernel) (t : task) ~pid =
@@ -574,11 +402,10 @@ let do_execve (k : kernel) (t : task) path =
          a fresh [Mem.t] restarts its generation counter, so stale
          entries could otherwise alias the new image's pages. *)
       Icache.clear t.icache;
-      (* Same aliasing hazard for the auditor's per-page hash cache:
-         the fresh address space restarts the generation counter. *)
-      (match k.auditor with
-      | Some a -> Sim_audit.Audit.forget_task a t.tid
-      | None -> ());
+      (* The fresh address space carries no observer hooks: drop the
+         icache's too, so the next slice installs both. *)
+      t.icache.Icache.on_invalidate <- None;
+      if k.observers <> [] then emit k (Execve t);
       t.ctx.rip <- img.img_entry;
       for r = 0 to 15 do
         Cpu.poke_reg t.ctx r 0L
@@ -594,9 +421,6 @@ let do_execve (k : kernel) (t : task) path =
          write must not clobber the fresh context, so we signal that
          with a special marker the dispatcher understands. *)
       Ret Int64.min_int
-
-(* Marker meaning "do not write rax / rcx / r11 back". *)
-let no_result = Int64.min_int
 
 let sockaddr_port (t : task) addr = to_i (user_read_u64 t addr)
 
@@ -743,19 +567,9 @@ let do_syscall (k : kernel) (t : task) (nr : int) : sysres =
               | `Data s ->
                   (* Request claim: this task just read fresh bytes off
                      the connection, so the request the load generator
-                     stamped on it (if any) is now being served here.
-                     [ev] is the app-stream audit index this very read
-                     will be logged at. *)
-                  (match k.obs with
-                  | Some o ->
-                      let ev =
-                        match k.auditor with
-                        | Some a -> Sim_audit.Audit.app_count a + 1
-                        | None -> -1
-                      in
-                      Sim_obs.Obs.claim o ~cpu:k.cur_cpu ~conn:ep.id
-                        ~tid:t.tid ~ts:(Int64.of_int (now k)) ~ev
-                  | None -> ());
+                     stamped on it (if any) is now being served here. *)
+                  if k.observers <> [] then
+                    emit k (Req_claim { task = t; conn = ep.id });
                   user_write t buf s;
                   charge_copy k (String.length s);
                   ok (String.length s)
@@ -1361,107 +1175,9 @@ let ptrace_stop_cost (k : kernel) (m : monitor) =
     instruction ([t.ctx.rip] already points past it). *)
 let arg_regs = [| Isa.rdi; Isa.rsi; Isa.rdx; Isa.r10; Isa.r8; Isa.r9 |]
 
-(* Record one application-scope syscall on the auditor, take a
-   state-hash checkpoint when one is due, and honor a replay-to-point
-   stop request.  [args] were captured at dispatch; everything else is
-   read from the task's context *after* the result write, so the
-   callee-saved registers and xstate reflect what the application
-   observes on return. *)
-let audit_syscall (k : kernel) (t : task) ~nr ~args ~ret ~path =
-  match k.auditor with
-  | None -> ()
-  | Some a ->
-      let module A = Sim_audit.Audit in
-      A.record_syscall a ~tid:t.tid ~scope:A.App ~nr ~args ~ret ~path t.ctx;
-      if A.checkpoint_due a then A.take_checkpoint a ~tid:t.tid t.ctx t.mem;
-      if A.should_halt a then k.halted <- true
-
-(* Record one application dispatch on the provenance ledger: recover
-   the call-site PC, walk the guest rbp frame chain, stamp the
-   dispatch-path mix and kernel-cycle cost per (site, nr).  Called
-   just before {!audit_syscall} appends, so [ev] is the app-stream
-   index this dispatch will be recorded at.
-
-   Site recovery mirrors the interposer entries, and every candidate
-   is validated by decoding: a genuine site holds the two bytes of
-   [syscall] (0f 05) or of a rewritten [call rax] (ff d0).
-
-   - Direct / ptrace dispatches execute the application's own
-     [syscall], so [rip - 2] is the site.
-   - Fast-path (and lazypoline's SUD slow-path) dispatches run inside
-     the interposer stub, whose stack top still holds the application
-     return address the [call rax] (or the emulated call push) left —
-     site is that address minus 2.
-   - The classic signal-driven stubs (the SUD and seccomp-user
-     baselines) re-execute the syscall from inside the SIGSYS
-     handler, where neither holds: there [rsp] is the signal frame
-     base and the faulting site travels in siginfo's [si_call_addr]
-     (frame base + 8 + the field offset), exactly where the stub's
-     own PREP hypercall reads it.
-
-   Candidates are tried in that order, first valid wins; an
-   unverifiable dispatch falls back to [rip - 2] so the ledger still
-   counts it.  Observation-only: every read is fault-guarded and
-   nothing is charged or mutated. *)
-let recover_site (t : task) ~path : int =
-  let c = t.ctx in
-  let valid pc =
-    pc > 0
-    &&
-    match Mem.peek_bytes t.mem pc 2 with
-    | b -> b = "\x0f\x05" || b = "\xff\xd0"
-    | exception Mem.Fault _ -> false
-  in
-  let peek_site addr =
-    match Mem.peek_u64 t.mem addr with
-    | v -> Some (Int64.to_int v - 2)
-    | exception Mem.Fault _ -> None
-  in
-  let rsp = Cpu.peek_reg_int c Isa.rsp in
-  let candidates =
-    match path with
-    | Ev.Direct | Ev.Ptrace_path -> [ Some (c.rip - 2) ]
-    | Ev.Fast_path -> [ peek_site rsp ]
-    | Ev.Sud_sigsys | Ev.Seccomp_path ->
-        [
-          peek_site rsp;
-          peek_site (rsp + 8 + Ksignal.si_call_addr_off);
-        ]
-  in
-  match
-    List.find_opt (function Some pc -> valid pc | None -> false) candidates
-  with
-  | Some (Some pc) -> pc
-  | _ -> c.rip - 2
-
-let prov_record (k : kernel) (t : task) ~nr ~path ~ts0 =
-  match k.prov with
-  | None -> ()
-  | Some p ->
-      let c = t.ctx in
-      let site = recover_site t ~path in
-      (* App-stream indices are 1-based (record_syscall increments
-         then returns); this dispatch is audited right after us. *)
-      let ev =
-        match k.auditor with
-        | Some a -> Sim_audit.Audit.app_count a + 1
-        | None -> -1
-      in
-      let cycles = Int64.of_int (now k - ts0) in
-      Sim_obs.Provenance.record p ~mem:t.mem ~site ~nr ~path
-        ~rbp:(Cpu.peek_reg_int c Isa.rbp)
-        ~cycles ~now:(Int64.of_int (now k)) ~ev;
-      (* With the span recorder also attached, the request being
-         served on this CPU learns its per-site kernel cycles — how
-         exemplars name the hottest call site of their window. *)
-      (match k.obs with
-      | Some o -> Sim_obs.Obs.note_site o ~cpu:k.cur_cpu ~site ~cycles
-      | None -> ())
-
 (* Consult the syscall-flow-integrity engine for one application
-   dispatch.  Site recovery reuses the provenance candidate logic —
-   the result write has not happened yet, so rsp/rip are exactly as
-   the interposer left them.  Returns [Some p] when the engine is
+   dispatch, before its result is written back (the call site is
+   still recoverable).  Returns [Some p] when the engine is
    enforcing (deny/kill) and the dispatch violated the policy; the
    caller suppresses the syscall and applies the verdict.  In report
    or learning mode the check is observation-only: it never charges
@@ -1475,14 +1191,11 @@ let policy_gate (k : kernel) (t : task) ~nr ~path : Policy.t option =
         (not p.Policy.learning) && p.Policy.mode <> Policy.Report
       in
       if enforcing then charge k k.cost.policy_check;
-      let site = recover_site t ~path in
+      let site = Observers.recover_site t ~path in
       let pkey = Mem.pkey_at t.mem site in
-      let index =
-        match k.auditor with
-        | Some a -> Sim_audit.Audit.app_count a + 1
-        | None -> -1
-      in
-      match Policy.check p ~tid:t.tid ~nr ~site ~pkey ~index with
+      match
+        Policy.check p ~tid:t.tid ~nr ~site ~pkey ~index:(next_app_index k)
+      with
       | Some _ when enforcing -> Some p
       | _ -> None)
 
@@ -1497,9 +1210,7 @@ let syscall_entry (k : kernel) (t : task) =
   (* Stage the dispatched nr so the span recorder can attribute the
      kernel cycles of this dispatch per syscall; self-heals with
      [in_kernel], so no explicit clear on the many exits either. *)
-  (match k.obs with
-  | Some o -> Sim_obs.Obs.set_cur_nr o k.cur_cpu nr
-  | None -> ());
+  k.cur_nr <- nr;
   (* 1. Syscall User Dispatch *)
   let sud_intercepts =
     if not t.sud.sud_on then false
@@ -1542,16 +1253,7 @@ let syscall_entry (k : kernel) (t : task) =
     | None -> ());
     (* The tracer may have rewritten the syscall number. *)
     let nr = Cpu.peek_reg_int c Isa.rax in
-    (match k.obs with
-    | Some o -> Sim_obs.Obs.set_cur_nr o k.cur_cpu nr
-    | None -> ());
-    (* Audit: the argument registers as dispatched; result and
-       callee-saved state are captured on the way out. *)
-    let aud_args =
-      match k.auditor with
-      | Some _ -> Cpu.pack_regs c arg_regs
-      | None -> ""
-    in
+    k.cur_nr <- nr;
     (* 3. seccomp *)
     let verdict =
       if t.filters = [] then Defs.seccomp_ret_allow else seccomp_verdict k t nr
@@ -1574,32 +1276,29 @@ let syscall_entry (k : kernel) (t : task) =
       charge k k.cost.syscall_abort;
       let e = verdict land Defs.seccomp_ret_data in
       Cpu.poke_reg_int c Isa.rax (-e);
-      if k.tracer <> None then begin
-        trace_emit_at k ~ts:(Int64.of_int ts0)
-          (Ev.Syscall_enter { nr; path = Ev.Seccomp_path });
-        trace_emit k
-          (Ev.Syscall_exit
-             { nr; path = Ev.Seccomp_path; ret = i64 (-e); blocked = false })
-      end;
-      (match k.metrics with
-      | Some m ->
-          Kmetrics.count_syscall m ~nr ~path:Ev.Seccomp_path;
-          Kmetrics.observe_latency m (now k - ts0)
-      | None -> ());
+      let serviced = now k in
       (* The application observes this dispatch (a -errno result), so
          the policy state machine must see it too; seccomp already
-         suppressed it, so an enforcing verdict has nothing to add. *)
+         suppressed it, so an enforcing verdict has nothing to add.
+         Checked before the observers see the result, which takes the
+         next app-stream index. *)
       if not t.retrying then
         ignore (policy_gate k t ~nr ~path:Ev.Seccomp_path : Policy.t option);
-      prov_record k t ~nr ~path:Ev.Seccomp_path ~ts0;
-      audit_syscall k t ~nr ~args:aud_args ~ret:(Some (i64 (-e)))
-        ~path:Ev.Seccomp_path;
+      if k.observers <> [] then begin
+        emit k (Syscall_enter { nr; path = Ev.Seccomp_path; ts0 });
+        finish k
+          (Syscall
+             {
+               task = t; nr; path = Ev.Seccomp_path;
+               args = Cpu.pack_regs c arg_regs; ts0; serviced;
+               ret = i64 (-e); blocked = false; scope = App;
+             })
+      end;
       t.trace_path <- None
     end
     else begin
       (* 4. Dispatch. *)
       charge k k.cost.syscall_base;
-      let tracing = k.tracer <> None in
       let observed = observing k in
       (* [rt_sigreturn] from the signal trampoline runs *between* the
          SUD intercept (which staged the tag) and the interposer
@@ -1616,11 +1315,10 @@ let syscall_entry (k : kernel) (t : task) =
               else if t.filters <> [] then Ev.Seccomp_path
               else Ev.Direct
       in
-      if tracing then
-        trace_emit_at k ~ts:(Int64.of_int ts0) (Ev.Syscall_enter { nr; path });
-      (match k.metrics with
-      | Some m -> Kmetrics.count_syscall m ~nr ~path
-      | None -> ());
+      (* Observers see the dispatch begin, and later its argument
+         registers as dispatched. *)
+      if k.observers <> [] then emit k (Syscall_enter { nr; path; ts0 });
+      let args = if k.observers = [] then "" else Cpu.pack_regs c arg_regs in
       (* Chaos errno injection: an eligible first-issue syscall may
          transiently fail instead of dispatching.  Retries of a
          blocked syscall are exempt — their count is schedule- and
@@ -1659,10 +1357,7 @@ let syscall_entry (k : kernel) (t : task) =
                   try do_syscall k t nr
                   with Efault -> Ret (i64 (-Defs.efault)))
       in
-      (match k.metrics with
-      | Some m ->
-          Kmetrics.observe_latency m (now k - ts0)
-      | None -> ());
+      let serviced = now k in
       (match res with
       | Ret v when v = no_result -> ()
       | Ret v ->
@@ -1702,19 +1397,6 @@ let syscall_entry (k : kernel) (t : task) =
           ptrace_stop_cost k m;
           m.on_exit (ptrace_view t)
       | _ -> ());
-      (* Audit after the exit stop so a ptrace monitor's result
-         rewrite (if any) is what gets recorded — the application
-         never sees anything earlier.  Blocked syscalls record only
-         on their final (Ret) retry; [rt_sigreturn] is recorded by
-         the signal layer as a frame-scoped event instead. *)
-      (match res with
-      | Ret v when not sigreturning ->
-          let ret =
-            if v = no_result then None else Some (Cpu.peek_reg c Isa.rax)
-          in
-          prov_record k t ~nr ~path ~ts0;
-          audit_syscall k t ~nr ~args:aud_args ~ret ~path
-      | _ -> ());
       (* Chaos async-signal injection: a completed application
          syscall may leave a signal pending, delivered before the
          next guest instruction — which under an interposer is
@@ -1731,14 +1413,24 @@ let syscall_entry (k : kernel) (t : task) =
           | Some s -> Ksignal.post k t s
           | None -> ())
       | _ -> ());
-      if tracing then begin
-        let ret, blocked =
-          match res with
-          | Ret v -> ((if v = no_result then 0L else v), false)
-          | Block _ -> (0L, true)
-        in
-        trace_emit k (Ev.Syscall_exit { nr; path; ret; blocked })
-      end;
+      (* Observed after the exit stop so a ptrace monitor's result
+         rewrite (if any) is what the auditor records — the
+         application never sees anything earlier.  Blocked syscalls
+         enter the audit stream only on their final (Ret) retry;
+         [rt_sigreturn] is recorded by the signal layer as a
+         frame-scoped event instead. *)
+      if k.observers <> [] then
+        finish k
+          (Syscall
+             {
+               task = t; nr; path; args; ts0; serviced;
+               ret = (match res with Ret v -> v | Block _ -> 0L);
+               blocked = (match res with Block _ -> true | Ret _ -> false);
+               scope =
+                 (match res with
+                 | Ret _ when not sigreturning -> App
+                 | _ -> Unrecorded);
+             });
       (* A kill verdict fires only after the denied dispatch has been
          fully recorded: the audit stream ends with the violating
          syscall's -EPERM followed by the task exit. *)
@@ -1766,14 +1458,8 @@ let kernel_syscall (k : kernel) (t : task) nr (args : int64 array) : int64 =
   enter_kernel k;
   (* Nested dispatch: attribute this service to its own nr, then put
      the outer dispatch's staging back. *)
-  let saved_nr =
-    match k.obs with
-    | Some o ->
-        let s = Sim_obs.Obs.cur_nr o k.cur_cpu in
-        Sim_obs.Obs.set_cur_nr o k.cur_cpu nr;
-        s
-    | None -> -1
-  in
+  let saved_nr = k.cur_nr in
+  k.cur_nr <- nr;
   charge k k.cost.syscall_base;
   if t.sud.sud_on then charge k k.cost.sud_check;
   let c = t.ctx in
@@ -1782,14 +1468,13 @@ let kernel_syscall (k : kernel) (t : task) nr (args : int64 array) : int64 =
     (fun i r ->
       Cpu.poke_reg c r (if i < Array.length args then args.(i) else 0L))
     arg_regs;
+  let args = if k.observers = [] then "" else Cpu.pack_regs c arg_regs in
   let res =
     if nr < 0 || nr > Defs.max_syscall then Ret (i64 (-Defs.enosys))
     else try do_syscall k t nr with Efault -> Ret (i64 (-Defs.efault))
   in
   Cpu.unpack_regs c arg_regs saved;
-  (match k.obs with
-  | Some o -> Sim_obs.Obs.set_cur_nr o k.cur_cpu saved_nr
-  | None -> ());
+  k.cur_nr <- saved_nr;
   leave_kernel k;
   match res with
   | Ret v when v = no_result ->
@@ -1797,32 +1482,19 @@ let kernel_syscall (k : kernel) (t : task) nr (args : int64 array) : int64 =
   | Ret v ->
       (* Interposer-internal syscalls are their own (direct) spans;
          they must not consume the dispatch-path tag staged for the
-         application syscall they serve. *)
-      if k.tracer <> None then begin
-        trace_emit_at k ~ts:(Int64.of_int ts0)
-          (Ev.Syscall_enter { nr; path = Ev.Direct });
-        trace_emit k
-          (Ev.Syscall_exit { nr; path = Ev.Direct; ret = v; blocked = false })
+         application syscall they serve.  Mechanism-private by
+         definition: this syscall exists only because of how the
+         interposer is implemented (gs-area mmap, selector arch_prctl,
+         rewrite mprotect pairs, ...). *)
+      if k.observers <> [] then begin
+        emit k (Syscall_enter { nr; path = Ev.Direct; ts0 });
+        finish k
+          (Syscall
+             {
+               task = t; nr; path = Ev.Direct; args; ts0; serviced = now k;
+               ret = v; blocked = false; scope = Mech;
+             })
       end;
-      (match k.metrics with
-      | Some m ->
-          Kmetrics.count_syscall m ~nr ~path:Ev.Direct;
-          Kmetrics.observe_latency m (now k - ts0)
-      | None -> ());
-      (* Mechanism-private by definition: this syscall exists only
-         because of how the interposer is implemented (gs-area mmap,
-         selector arch_prctl, rewrite mprotect pairs, ...). *)
-      (match k.auditor with
-      | Some a ->
-          let args6 =
-            Sim_audit.Audit.pack
-              (Array.init 6 (fun i ->
-                   if i < Array.length args then args.(i) else 0L))
-          in
-          Sim_audit.Audit.record_syscall a ~tid:t.tid
-            ~scope:Sim_audit.Audit.Mech ~nr ~args:args6 ~ret:(Some v)
-            ~path:Ev.Direct c
-      | None -> ());
       v
   | Block _ -> invalid_arg "kernel_syscall: syscall would block"
 
@@ -1856,13 +1528,14 @@ let reap_wakeups (k : kernel) =
             t.ctx.rip <- t.ctx.rip + 2;
             Cpu.poke_reg_int t.ctx Isa.rax (-Defs.eintr);
             t.state <- Runnable;
-            match k.auditor with
-            | Some _ ->
-                let args = Cpu.pack_regs t.ctx arg_regs in
-                audit_syscall k t ~nr ~args
-                  ~ret:(Some (i64 (-Defs.eintr)))
-                  ~path
-            | None -> ()
+            if k.observers <> [] then
+              finish k
+                (Syscall_result
+                   {
+                     task = t; nr; path; args = Cpu.pack_regs t.ctx arg_regs;
+                     ts0 = now k; serviced = now k; ret = i64 (-Defs.eintr);
+                     blocked = false; scope = App;
+                   })
           in
           match Ksignal.first_actionable t with
           | Some s ->
@@ -1925,39 +1598,29 @@ let pick_task (k : kernel) cpu : task option =
 
 exception Too_many_steps
 
-(** Route [t]'s per-address-space observers (mapping changes, decoded
-    icache invalidations) into the machine-wide tracer and metrics
-    registry.  Installed lazily whenever a task is scheduled while an
-    observer is attached, so tasks created before the observer, forked
-    children and execve'd images (which all carry hook-less fresh
-    state) are caught on their next slice. *)
+(** Route [t]'s per-address-space hooks (mapping changes, decoded
+    icache invalidations) into the kernel-event stream.  Installed
+    lazily when a task without them is scheduled while someone
+    observes, so tasks created before the observer, forked children
+    and execve'd images (which all carry hook-less fresh state) are
+    caught on their next slice. *)
+let trace (k : kernel) kind = if k.observers <> [] then emit k (Trace kind)
+
 let install_observe_hooks (k : kernel) (t : task) =
   Mem.set_trace_hook t.mem
     (Some
        (function
          | Mem.Tmap { addr; len; x } ->
-             trace_emit k (Ev.Mmap { addr; len; prot_exec = x });
-             (match k.metrics with
-             | Some m -> Kmetrics.add m.Kmetrics.mmap_bytes len
-             | None -> ())
-         | Mem.Tunmap { addr; len } ->
-             trace_emit k (Ev.Munmap { addr; len });
-             (match k.metrics with
-             | Some m -> Kmetrics.add m.Kmetrics.munmap_bytes len
-             | None -> ())
+             trace k (Ev.Mmap { addr; len; prot_exec = x })
+         | Mem.Tunmap { addr; len } -> trace k (Ev.Munmap { addr; len })
          | Mem.Tprotect { addr; len; x; x_gained } ->
-             trace_emit k (Ev.Mprotect { addr; len; prot_exec = x });
-             (match k.metrics with
-             | Some m ->
-                 Kmetrics.add m.Kmetrics.mprotect_bytes len;
-                 if x_gained then incr m.Kmetrics.wx_flips
-             | None -> ());
+             trace k (Ev.Mprotect { addr; len; prot_exec = x });
              (* Pages that were written and then flipped executable:
                 the W^X publish step of JIT emission (minicc's jit
                 does exactly this store-then-mprotect dance). *)
-             if x_gained then trace_emit k (Ev.Jit_emit { addr; len })));
+             if x_gained then trace k (Ev.Jit_emit { addr; len })));
   t.icache.Icache.on_invalidate <-
-    Some (fun page -> trace_emit k (Ev.Icache_invalidate { page }))
+    Some (fun page -> trace k (Ev.Icache_invalidate { page }))
 
 (** Run [t] on the current CPU until it blocks, exits, or the slice
     ends. *)
@@ -1970,21 +1633,13 @@ let run_task (k : kernel) (t : task) =
   t.on_cpu <- k.cur_cpu;
   t.last_run <- slot.clk;
   k.cur_task <- Some t;
-  (match k.obs with
-  | Some o ->
-      Sim_obs.Obs.task_on o ~cpu:k.cur_cpu ~tid:t.tid
-        ~ts:(Int64.of_int slot.clk)
-  | None -> ());
-  if switched then begin
-    trace_emit k (Ev.Context_switch { prev_tid; next_tid = t.tid });
-    (match k.auditor with
-    | Some a -> Sim_audit.Audit.record_sched a ~tid:t.tid ~prev:prev_tid
-    | None -> ());
-    match k.metrics with
-    | Some m -> incr m.Kmetrics.ctx_switches
-    | None -> ()
+  if k.observers <> [] then begin
+    emit k On_cpu;
+    if switched then
+      emit k (Trace (Ev.Context_switch { prev_tid; next_tid = t.tid }))
   end;
-  if observing k then install_observe_hooks k t;
+  if observing k && t.icache.Icache.on_invalidate = None then
+    install_observe_hooks k t;
   let cost = k.cost in
   let engine = k.blocks_on && k.icache_on in
   (* Chaos preemption: a fired decision ends this task's turn at the
@@ -1993,14 +1648,15 @@ let run_task (k : kernel) (t : task) =
      longest-waiting runnable task). *)
   let preempted = ref false in
   (* Block-runner callbacks, hoisted out of the hot loop.  Per-op
-     charging is only needed when a profiler wants per-instruction
-     tick attribution; otherwise the runner accumulates units and the
-     exit phase bulk-charges (clock and task-cycle sums are
-     identical, and nothing else can observe the clock mid-block:
-     blocks contain no syscalls, traps or rdtsc). *)
+     charging is only needed when an observer (the profiler) wants
+     per-instruction tick attribution; otherwise the runner
+     accumulates units and the exit phase bulk-charges (clock and
+     task-cycle sums are identical, and nothing else can observe the
+     clock mid-block: blocks contain no syscalls, traps or rdtsc). *)
   let charge_units u = charge k (cost.insn * u) in
   let per_op =
-    match k.profiler with Some _ -> Some charge_units | None -> None
+    if List.exists (fun o -> o.per_insn) k.observers then Some charge_units
+    else None
   in
   let chaos_cb =
     match k.chaos with
@@ -2030,11 +1686,9 @@ let run_task (k : kernel) (t : task) =
        && not !preempted
      do
        (* Kernel work from here (signal delivery, the next dispatch)
-          starts outside any syscall; the span recorder's staged nr
-          self-heals with [in_kernel] below. *)
-       (match k.obs with
-       | Some o -> Sim_obs.Obs.set_cur_nr o k.cur_cpu (-1)
-       | None -> ());
+          starts outside any syscall; the staged nr self-heals with
+          [in_kernel] below. *)
+       k.cur_nr <- -1;
        if t.pending <> 0L && signal_pending_unmasked t then
          ignore (Ksignal.deliver_pending k t);
        if t.state = Runnable then begin
@@ -2120,12 +1774,7 @@ let run_task (k : kernel) (t : task) =
        end
      done
    with Ksignal.Killed_by_signal _ -> ());
-  (match k.obs with
-  | Some o ->
-      let blocked = match t.state with Blocked _ -> true | _ -> false in
-      Sim_obs.Obs.task_off o ~cpu:k.cur_cpu ~tid:t.tid
-        ~ts:(Int64.of_int slot.clk) ~blocked
-  | None -> ());
+  if k.observers <> [] then emit k Off_cpu;
   t.tcycles <- Int64.add t.tcycles (Int64.of_int k.cur_cycles);
   k.cur_cycles <- 0;
   k.cur_task <- None;
@@ -2162,7 +1811,7 @@ let run_slice (k : kernel) =
   done;
   if not k.halted then begin
     List.iter (fun step -> step ()) k.actors;
-    k.slice_end <- k.slice_end + Int64.to_int k.slice
+    k.slice_end <- k.slice_end + quantum
   end
 
 let all_exited (k : kernel) =

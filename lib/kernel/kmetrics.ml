@@ -1,10 +1,10 @@
 (** The kernel's named metric bundle.
 
-    Pre-registers every metric the simulated kernel and the
-    interposers bump on their hot paths, so instrumentation sites
-    touch plain [int ref]s instead of hashing into the registry.
-    Hangs off [Types.kernel] as [k.metrics : Kmetrics.t option];
-    [None] (the default) is the zero-cost path.
+    Pre-registers every metric the metrics subscriber
+    ({!Observers.metrics}) bumps from the kernel-event stream, so it
+    touches plain [int ref]s instead of hashing into the registry.
+    The attached bundle is also kept as [k.metrics], the read handle
+    /proc/metrics renders.
 
     Naming follows Prometheus conventions ([sim_] prefix, [_total]
     for counters).  Per-syscall-number counters are created lazily on
@@ -17,7 +17,7 @@ module Ev = Sim_trace.Event
 type t = {
   registry : M.t;
   syscalls_total : int ref;
-  by_path : int ref array;  (** indexed by {!path_index} *)
+  by_path : int ref array;  (** indexed by {!Ev.path_index} *)
   by_nr : int ref option array;  (** lazily-registered, indexed by nr *)
   syscall_cycles : M.hist;
   ctx_switches : int ref;
@@ -34,19 +34,12 @@ type t = {
   wx_flips : int ref;
 }
 
-let path_index = function
-  | Ev.Sud_sigsys -> 0
-  | Ev.Fast_path -> 1
-  | Ev.Seccomp_path -> 2
-  | Ev.Ptrace_path -> 3
-  | Ev.Direct -> 4
-
 let create () =
   let r = M.create () in
   let by_path = Array.make 5 (ref 0) in
   List.iter
     (fun p ->
-      by_path.(path_index p) <-
+      by_path.(Ev.path_index p) <-
         M.counter r
           ~help:"syscall dispatches by interposition path"
           ~labels:[ ("path", Ev.path_name p) ]
@@ -111,13 +104,13 @@ let nr_counter m nr =
     per-number counters. *)
 let count_syscall m ~nr ~path =
   incr m.syscalls_total;
-  incr m.by_path.(path_index path);
+  incr m.by_path.(Ev.path_index path);
   if nr >= 0 && nr <= Defs.max_syscall then incr (nr_counter m nr)
 
 let observe_latency m cycles = M.observe m.syscall_cycles cycles
 
 (** Per-path count accessors for /proc and [simtrace stat]. *)
-let path_count m p = !(m.by_path.(path_index p))
+let path_count m p = !(m.by_path.(Ev.path_index p))
 let fast_hits m = path_count m Ev.Fast_path
 let slow_hits m = path_count m Ev.Sud_sigsys
 

@@ -99,27 +99,21 @@ let push_frame (k : kernel) (t : task) (sig_ : int) (info : sig_info) =
   let c = t.ctx in
   enter_kernel k;
   charge k k.cost.signal_delivery;
-  if k.tracer <> None then
-    trace_emit k
-      (Sim_trace.Event.Signal_deliver
-         { signo = sig_; handler = Int64.to_int act.sa_handler });
-  (match k.metrics with
-  | Some m -> incr m.Kmetrics.signal_deliveries
-  | None -> ());
   (* Audit classification: a SIGSYS raised by SUD or a seccomp TRAP
      filter is interposition plumbing (mechanism-private); any other
-     delivery is part of the application's observable history.  The
-     frame scope is remembered so the matching sigreturn inherits
-     it. *)
-  (match k.auditor with
-  | Some a ->
-      let mech =
-        sig_ = Defs.sigsys
-        && (info.si_code = Defs.sys_seccomp_code
-           || info.si_code = Defs.sys_user_dispatch_code)
-      in
-      Sim_audit.Audit.record_signal a ~tid:t.tid ~signo:sig_ ~mech
-  | None -> ());
+     delivery is part of the application's observable history. *)
+  if k.observers <> [] then
+    emit k
+      (Signal_deliver
+         {
+           task = t;
+           signo = sig_;
+           handler = Int64.to_int act.sa_handler;
+           mech =
+             sig_ = Defs.sigsys
+             && (info.si_code = Defs.sys_seccomp_code
+                || info.si_code = Defs.sys_user_dispatch_code);
+         });
   t.sig_depth <- t.sig_depth + 1;
   let sp = Cpu.peek_reg_int c Isa.rsp in
   let f = (sp - redzone - frame_size) land lnot 15 in
@@ -234,13 +228,7 @@ let force (k : kernel) (t : task) (sig_ : int) (info : sig_info) =
     issued the syscall). *)
 let sigreturn (k : kernel) (t : task) : unit =
   charge k k.cost.sigreturn_kernel;
-  trace_emit k Sim_trace.Event.Sigreturn;
-  (match k.metrics with
-  | Some m -> incr m.Kmetrics.sigreturns
-  | None -> ());
-  (match k.auditor with
-  | Some a -> Sim_audit.Audit.record_sigreturn a ~tid:t.tid
-  | None -> ());
+  if k.observers <> [] then emit k (Sigreturn t);
   t.sig_depth <- max 0 (t.sig_depth - 1);
   let c = t.ctx in
   let uc = Cpu.peek_reg_int c Isa.rsp - 8 + 40 in

@@ -57,10 +57,10 @@ let selector_name (t : task) =
 (** SUD selector state plus the machine-wide interposition counters.
     The counters come from the metrics registry and are zero when no
     registry is attached; the selector state is per-task and always
-    live.  With a provenance ledger attached, one [site] line per
-    known call site follows: rewritten status (and by what), dispatch
-    count and path mix — the paper's per-site specialization story,
-    readable from inside the guest. *)
+    live.  Observers may append lines: with a provenance ledger
+    attached, one [site] line per known call site follows (rewritten
+    status, dispatch count and path mix — the paper's per-site
+    specialization story, readable from inside the guest). *)
 let interposer (k : kernel) (t : task) =
   let m = k.metrics in
   let c f = match m with Some m -> f m | None -> 0 in
@@ -78,37 +78,12 @@ let interposer (k : kernel) (t : task) =
       (c (fun m -> !(m.Kmetrics.syscalls_total)))
       (match m with Some _ -> "attached" | None -> "detached")
   in
-  match k.prov with
-  | None -> head
-  | Some p ->
-      let module P = Sim_obs.Provenance in
-      let b = Buffer.create 256 in
-      Buffer.add_string b head;
-      List.iter
-        (fun s ->
-          let rw =
-            match P.rewrite_of p s.P.s_pc with
-            | Some r -> P.rewrite_kind_name r.P.rw_kind
-            | None -> "-"
-          in
-          let mix =
-            Array.to_list s.P.s_paths
-            |> List.mapi (fun pi n ->
-                   if n = 0 then ""
-                   else Printf.sprintf "%s=%d" P.path_names.(pi) n)
-            |> List.filter (fun x -> x <> "")
-            |> String.concat ","
-          in
-          Buffer.add_string b
-            (Printf.sprintf "site:\t0x%x\tnr=%d\trewritten=%s\tcount=%d\t%s\n"
-               s.P.s_pc s.P.s_nr rw (P.site_count s) mix))
-        (P.sites_sorted p);
-      Buffer.contents b
+  List.fold_left (fun acc o -> acc ^ o.proc t) head k.observers
 
 let metrics_text (k : kernel) =
   match k.metrics with
   | Some m -> Kmetrics.prometheus m
-  | None -> "# metrics registry not attached (Kernel.enable_metrics)\n"
+  | None -> "# metrics registry not attached (Kernel.attach_metrics)\n"
 
 (** Syscall-flow-integrity engine state: mode, graph dimensions,
     check/violation/verdict counters, the task's state-machine

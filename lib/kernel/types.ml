@@ -177,6 +177,9 @@ type image = {
     at 2.1 GHz), so advancing a clock allocates nothing. *)
 type cpu_slot = { mutable clk : int; mutable last_tid : int }
 
+(** The scheduling quantum in cycles. *)
+let quantum = 4000
+
 type kernel = {
   cost : Cost_model.t;
   cpus : cpu_slot array;
@@ -192,7 +195,6 @@ type kernel = {
   mutable actors : (unit -> unit) list;
       (** external agents (e.g. the load generator) stepped once per
           scheduling slice *)
-  mutable slice : int64;  (** scheduling quantum in cycles *)
   mutable slice_end : int;
   mutable icache_on : bool;
       (** when false every task steps through the byte-at-a-time
@@ -208,97 +210,183 @@ type kernel = {
           and the [--no-blocks] CLI flag for A/B bisection *)
   mutable strace : (task -> int -> int64 -> unit) option;
       (** kernel-side debug trace: task, syscall nr, result *)
-  mutable tracer : Sim_trace.Tracer.t option;
-      (** machine-wide event tracer; [None] (the default) is the
-          zero-cost path — emit sites guard on it and allocate
-          nothing.  Emitting never charges cycles: a traced run is
-          cycle-for-cycle identical to an untraced one *)
+  mutable observers : observer list;
+      (** observation-only subscribers, in attach order (DESIGN.md
+          §17).  [[]] (the default) is the zero-cost path: every emit
+          site guards on it before building an event *)
   mutable metrics : Kmetrics.t option;
-      (** machine-wide metrics registry; same contract as [tracer]:
-          [None] is the zero-cost default and counting never charges
-          cycles, so a metered run is cycle- and state-identical to
-          an unmetered one *)
-  mutable profiler : Sim_metrics.Profiler.t option;
-      (** cycle-clock sampling profiler, ticked from {!charge};
-          observation-only like [tracer] and [metrics] *)
+      (** the attached metrics registry, kept as a read handle for
+          /proc/metrics; its counting runs through its subscriber *)
   mutable in_kernel : int;
       (** depth of simulated-kernel activity (syscall dispatch, signal
           delivery) on the current CPU; the profiler classifies cycles
           charged at depth > 0 as kernel time.  Self-healing: reset to
           0 before every guest instruction step *)
+  mutable cur_nr : int;
+      (** syscall nr being dispatched on the current CPU, -1 outside
+          any dispatch — staged at syscall entry, restored around
+          nested kernel services, self-healed with [in_kernel]; the
+          span recorder attributes kernel cycles per nr by it *)
+  mutable app_index : int;
+      (** 1-based application-stream index of the last recorded
+          application syscall, or -1 while no auditor numbers the
+          stream (see {!next_app_index}) *)
   mutable halted : bool;
   mutable cur_task : task option;  (** task being executed right now *)
   mutable cur_cycles : int;
       (** cycles charged to [cur_task] since it was scheduled; added to
           its [tcycles] when it is descheduled, so a charge does not
           box an [int64] *)
-  mutable auditor : Sim_audit.Audit.t option;
-      (** divergence auditor recording the observable event stream and
-          state-hash checkpoints; observation-only like [tracer] *)
   mutable chaos : Sim_chaos.Chaos.t option;
-      (** deterministic chaos engine; unlike the observers above it
+      (** deterministic chaos engine; unlike the observers it
           deliberately perturbs the run (injected errnos, signals and
           preemptions), but [None] — the default — is bit-identical
           to a kernel built before the engine existed, and injection
           never charges cycles of its own *)
-  mutable obs : Sim_obs.Obs.t option;
-      (** request-flow span recorder, fed from {!charge} and the
-          scheduler edges; observation-only like [tracer] — a spanned
-          run is cycle- and state-identical to an unspanned one *)
-  mutable prov : Sim_obs.Provenance.t option;
-      (** per-call-site interposition ledger with guest stack
-          unwinding, fed at audited syscall dispatches and rewrite
-          stamps; observation-only like [tracer] — a provenanced run
-          is cycle- and state-identical to a bare one *)
   mutable policy : Sim_policy.Policy.t option;
       (** syscall-flow-integrity engine, consulted at every
           application syscall dispatch.  In report (or learning) mode
-          it is observation-only like [tracer]; in deny/kill mode it
-          suppresses out-of-policy syscalls and charges
+          it is observation-only like an observer; in deny/kill mode
+          it suppresses out-of-policy syscalls and charges
           [cost.policy_check] per dispatch *)
 }
 
-(* Classify the cycles being charged into a causal phase for the span
-   recorder.  Uses only state the kernel already maintains: kernel
-   depth, the staged dispatch nr, the interposer dispatch-path tag
-   and the guest rip against the registered interposer code ranges. *)
-let obs_phase (k : kernel) o =
-  match k.cur_task with
-  | None -> Sim_obs.Obs.Psched
-  | Some t ->
-      if k.in_kernel > 0 then
-        Sim_obs.Obs.Pkernel (Sim_obs.Obs.cur_nr o k.cur_cpu)
-      else if t.trace_path <> None || Sim_obs.Obs.in_interp o t.ctx.Cpu.rip
-      then Sim_obs.Obs.Pinterp
-      else Sim_obs.Obs.Papp
+(** An observation-only subscriber.  Callbacks never charge cycles and
+    never touch task, memory or CPU state, so a run with any set of
+    observers attached is cycle- and state-identical to a bare one. *)
+and observer = {
+  on_event : kernel -> event -> unit;
+  on_tick : kernel -> int -> int -> unit;
+      (** every {!charge}: the CPU clock before it and the cycles
+          charged.  Kept out of [event] because it fires per
+          instruction and must not allocate *)
+  per_insn : bool;
+      (** wants one tick per instruction retired inside a compiled
+          block instead of one bulk tick per block *)
+  probes : kernel -> (string * string * (unit -> int)) list;
+      (** (name, help, read) gauges for the metrics registry, sampled
+          at scrape time *)
+  proc : task -> string;
+      (** lines appended to /proc/<pid>/interposer *)
+}
+
+(** The kernel-event stream: the tracer's event kinds plus what the
+    auditor, the span recorder and the provenance ledger need. *)
+and event =
+  | Attached
+      (** delivered once, to the subscriber being attached, before any
+          other event *)
+  | Subscribed of observer
+      (** another subscriber was attached after this one *)
+  | Trace of Sim_trace.Event.kind
+      (** a tracer event the kernel has nothing to add to, stamped at
+          the current CPU's clock *)
+  | Syscall_enter of {
+      nr : int;
+      path : Sim_trace.Event.dispatch_path;
+      ts0 : int;
+    }
+      (** a kernel dispatch began at [ts0] *)
+  | Syscall of syscall  (** the dispatch finished *)
+  | Syscall_result of syscall
+      (** an application syscall completed without a dispatch of its
+          own: the EINTR abandonment of a blocked wait, or an
+          interposer's emulated call *)
+  | Signal_deliver of { task : task; signo : int; handler : int; mech : bool }
+      (** a handler frame was pushed; [mech]: the SIGSYS of SUD or a
+          seccomp TRAP filter, i.e. interposition plumbing *)
+  | Sigreturn of task
+  | Rewrite of { site : int; how : Sim_obs.Provenance.rewrite_kind }
+      (** a [syscall] site became [call rax] *)
+  | On_cpu  (** the current task was scheduled on the current CPU *)
+  | Off_cpu
+      (** the current task leaves the CPU; its state tells blocked from
+          preempted *)
+  | Execve of task  (** [task] now runs a fresh address space *)
+  | Symbols of (string * int) list
+      (** a loaded program's symbol table, announced by whoever loaded
+          it (the kernel does not keep symbols) *)
+  | Req_issue of { rid : int; conn : int; ts : int64 }
+      (** the load generator put request [rid] on the server-side
+          connection [conn] at global time [ts] *)
+  | Req_claim of { task : task; conn : int }
+      (** [task] read fresh bytes off [conn]: it now serves the
+          request issued there *)
+  | Req_complete of { rid : int; ts : int64 }
+  | Req_abandon of int  (** the request's connection died *)
+
+(** One syscall as observers see it. *)
+and syscall = {
+  task : task;
+  nr : int;
+  path : Sim_trace.Event.dispatch_path;
+  args : string;  (** the six argument registers as dispatched, packed *)
+  ts0 : int;  (** cycle the dispatch began *)
+  serviced : int;
+      (** cycle the kernel service returned, before any ptrace exit
+          stop: the end of the latency sample *)
+  ret : int64;
+      (** the result, or {!no_result} when the call transferred
+          control (execve, rt_sigreturn) *)
+  blocked : bool;  (** the task blocked; the syscall will retry *)
+  scope : scope;
+}
+
+(** Where a finished syscall lands in the audit stream. *)
+and scope =
+  | App  (** the application observed the result *)
+  | Mech  (** interposer-internal ({!Kernel.kernel_syscall}) *)
+  | Unrecorded  (** it blocked, or is rt_sigreturn signal plumbing *)
+
+(** Marker result: do not write rax / rcx / r11 back. *)
+let no_result = Int64.min_int
+
+let rec deliver k ev = function
+  | [] -> ()
+  | o :: rest ->
+      o.on_event k ev;
+      deliver k ev rest
+
+(** Deliver [ev] to every observer.  Sites guard with
+    [k.observers <> []] before building [ev], so the bare path
+    allocates nothing. *)
+let emit (k : kernel) ev = deliver k ev k.observers
+
+(** Deliver a finished syscall ({!Syscall} or {!Syscall_result}),
+    guarded like {!emit}; an application-scope one first takes the
+    next app-stream index. *)
+let finish k ev =
+  (match ev with
+  | (Syscall { scope = App; _ } | Syscall_result _) when k.app_index >= 0 ->
+      k.app_index <- k.app_index + 1
+  | _ -> ());
+  emit k ev
+
+let rec tick k start n = function
+  | [] -> ()
+  | o :: rest ->
+      o.on_tick k start n;
+      tick k start n rest
 
 let charge (k : kernel) n =
   let c = k.cpus.(k.cur_cpu) in
   let start = c.clk in
   c.clk <- start + n;
-  (match k.obs with
-  | None -> ()
-  | Some o ->
-      Sim_obs.Obs.on_charge o ~cpu:k.cur_cpu ~start:(Int64.of_int start)
-        ~cycles:n ~phase:(obs_phase k o));
-  match k.cur_task with
-  | Some t -> (
-      k.cur_cycles <- k.cur_cycles + n;
-      match k.profiler with
-      | None -> ()
-      | Some p ->
-          Sim_metrics.Profiler.tick p n ~comm:t.comm ~rip:t.ctx.Cpu.rip
-            ~in_kernel:(k.in_kernel > 0) ~sig_depth:t.sig_depth)
-  | None -> ()
+  (match k.cur_task with
+  | Some _ -> k.cur_cycles <- k.cur_cycles + n
+  | None -> ());
+  if k.observers <> [] then tick k start n k.observers
 
-(** Is any observer (tracer, metrics, auditor, span recorder,
-    provenance ledger or policy engine) attached?  Dispatch-path
+(** Is any observer or the policy engine attached?  Dispatch-path
     staging sites guard on this: the tag exists purely for
     attribution (and for the policy engine's call-site recovery), so
     it is only maintained when someone is looking. *)
-let observing (k : kernel) =
-  k.tracer <> None || k.metrics <> None || k.auditor <> None || k.obs <> None
-  || k.prov <> None || k.policy <> None
+let observing (k : kernel) = k.observers <> [] || k.policy <> None
+
+(** The application-stream index the next recorded application
+    syscall will get, or -1 while the stream is not numbered. *)
+let next_app_index (k : kernel) =
+  if k.app_index < 0 then -1 else k.app_index + 1
 
 (** Cycles charged to [t] so far, including the slice it is running. *)
 let task_cycles (k : kernel) (t : task) =
@@ -322,27 +410,6 @@ let clocks (k : kernel) = Array.map (fun c -> Int64.of_int c.clk) k.cpus
 
 (** {!min_clock} as an [int64], for observers and harnesses. *)
 let global_time (k : kernel) = Int64.of_int (min_clock k)
-
-(** Record [kind] on the current CPU's ring at the current simulated
-    time (no-op without a tracer).  Hot emit sites should guard with
-    [k.tracer <> None] before building [kind] so the disabled path
-    allocates nothing. *)
-let trace_emit (k : kernel) kind =
-  match k.tracer with
-  | None -> ()
-  | Some tr ->
-      let tid = match k.cur_task with Some t -> t.tid | None -> -1 in
-      Sim_trace.Tracer.emit tr ~cpu:k.cur_cpu ~tid ~ts:(Int64.of_int (now k))
-        kind
-
-(** Like {!trace_emit} with an explicit timestamp — for spans whose
-    start time predates the emit (syscall enter/exit pairs). *)
-let trace_emit_at (k : kernel) ~ts kind =
-  match k.tracer with
-  | None -> ()
-  | Some tr ->
-      let tid = match k.cur_task with Some t -> t.tid | None -> -1 in
-      Sim_trace.Tracer.emit tr ~cpu:k.cur_cpu ~tid ~ts kind
 
 let find_task (k : kernel) tid = Hashtbl.find_opt k.tasks tid
 

@@ -1,9 +1,8 @@
 (** A typed counter/gauge/histogram registry.
 
-    The simulated kernel hangs one of these off {!Sim_kernel.Types}
-    (like the [Tracer] handle): wiring sites increment plain [int
-    ref]s, so the enabled path costs one load/store per event and the
-    disabled path ([None] on the kernel) costs a single match.
+    The simulated kernel's metrics subscriber increments plain [int
+    ref]s pre-registered in one of these, so counting costs one
+    load/store per event.
     Nothing here ever charges simulated cycles — metrics are
     observation-only by construction, the same contract as the event
     tracer.

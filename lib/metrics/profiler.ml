@@ -27,7 +27,8 @@
 
     Observation-only: ticking never charges cycles or touches guest
     state; a profiled run is cycle- and state-identical to an
-    unprofiled one (asserted by a qcheck property in test_metrics). *)
+    unprofiled one (asserted by the qcheck property in
+    test_observers). *)
 
 type t = {
   period : int;

@@ -1,21 +1,21 @@
 (** Request-flow observability: per-request causal spans and
     tail-latency attribution.
 
-    The kernel holds an [Obs.t option] next to the tracer, metrics
-    registry, profiler and auditor, under the same contract: [None]
-    (the default) is the zero-cost path, attaching one never charges
-    simulated cycles and never mutates task, memory or CPU state.  A
-    spanned run is bit-identical — cycles, registers, memory, audit
-    hash — to an unspanned one (the qcheck gate in test_obs).
+    It subscribes to the kernel-event stream like every other
+    observer ([Sim_kernel.Observers.spans]), under the same contract:
+    attaching one never charges simulated cycles and never mutates
+    task, memory or CPU state.  A spanned run is bit-identical —
+    cycles, registers, memory, audit hash — to an unspanned one (the
+    qcheck gate in test_observers).
 
-    What it records, fed from three kinds of hook:
+    What it records, fed from four kinds of event:
 
     - {b every} [charge] call, classified into a causal phase: app
       compute, interposer trampoline/selector work, kernel service
       (per syscall nr), or scheduler overhead.  Classification uses
       state the kernel already maintains ([in_kernel], the
       [trace_path] dispatch tag, the guest rip against registered
-      interposer code ranges) plus a per-CPU staged syscall nr;
+      interposer code ranges) plus the kernel's staged syscall nr;
     - request causality: the load generator stamps a request id at
       issue time keyed by the server-side connection endpoint, the
       kernel claims it when a task first reads that connection, and
@@ -25,7 +25,9 @@
       runnable-but-unscheduled — is attributed to the request;
     - scheduling: task-on/task-off edges, so off-CPU time is
       attributed even though blocked CPUs advance their clocks
-      without [charge] (the idle jump in [run_slice]).
+      without [charge] (the idle jump in [run_slice]);
+    - application syscalls: the kernel cycles of each, per recovered
+      call site, inside the window of the request being served.
 
     Memory is bounded everywhere: the in-flight table has a hard cap
     (overflowing requests are dropped and counted — the CI gate fails
@@ -87,8 +89,7 @@ type req = {
   mutable off_blocked : bool;  (** the off-CPU reason was a block *)
   site_cyc : (int, int64 ref) Hashtbl.t;
       (** kernel cycles per syscall call-site PC inside this request's
-          window, fed by the provenance ledger when one is attached
-          (bounded; empty without one) *)
+          window (bounded) *)
   mutable site_dropped : bool;  (** distinct-site cap hit *)
 }
 
@@ -111,10 +112,6 @@ let req_phases r =
 
 type t = {
   ncpus : int;
-  cur_nr : int array;
-      (** syscall nr being dispatched on each CPU, -1 outside any
-          dispatch — staged at syscall entry, restored around nested
-          kernel services, self-healed with [in_kernel] *)
   active : req option array;  (** per-CPU resolved request slot *)
   (* machine-wide phase accumulators over every charged cycle *)
   mutable m_app : int64;
@@ -147,7 +144,6 @@ let create ?(topk = 16) ?(max_inflight = 4096) ?(max_completed = 1024)
   if ncpus <= 0 then invalid_arg "Obs.create: non-positive ncpus";
   {
     ncpus;
-    cur_nr = Array.make ncpus (-1);
     active = Array.make ncpus None;
     m_app = 0L;
     m_interp = 0L;
@@ -186,9 +182,6 @@ let add_range t ~lo ~hi = t.ranges <- (lo, hi) :: t.ranges
 
 let in_interp t rip =
   List.exists (fun (lo, hi) -> rip >= lo && rip < hi) t.ranges
-
-let set_cur_nr t cpu nr = if cpu >= 0 && cpu < t.ncpus then t.cur_nr.(cpu) <- nr
-let cur_nr t cpu = if cpu >= 0 && cpu < t.ncpus then t.cur_nr.(cpu) else -1
 
 let bump tbl nr c =
   match Hashtbl.find_opt tbl nr with
@@ -252,10 +245,10 @@ let on_charge t ~cpu ~start ~cycles ~phase =
    exemplar without bound. *)
 let max_req_sites = 64
 
-(** The provenance ledger observed a dispatch from call-site PC
-    [site] costing [cycles] of kernel time on [cpu]: attribute it to
-    the request being served there, so exemplars can name the
-    hottest call site of their window. *)
+(** An application syscall from call-site PC [site] cost [cycles] of
+    kernel time on [cpu]: attribute it to the request being served
+    there, so exemplars can name the hottest call site of their
+    window. *)
 let note_site t ~cpu ~site ~cycles =
   match if cpu >= 0 && cpu < t.ncpus then t.active.(cpu) else None with
   | None -> ()
@@ -269,8 +262,8 @@ let note_site t ~cpu ~site ~cycles =
 
 (** The call site that cost the most kernel cycles inside [r]'s
     window, as [(pc, cycles)]; ties break to the lower PC so the
-    answer is deterministic.  [None] when no provenance ledger fed
-    the run. *)
+    answer is deterministic.  [None] when no application syscall
+    fell inside the window. *)
 let hot_site r =
   Hashtbl.fold
     (fun pc c best ->

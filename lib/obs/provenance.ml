@@ -8,13 +8,12 @@
     (tracer, metrics, spans) attributes cost per CPU, per request or
     per syscall number — this one attributes it per {e site}.
 
-    The kernel holds a [Provenance.t option] next to the tracer,
-    metrics registry, profiler, auditor and span recorder, under the
-    same contract: [None] (the default) is the zero-cost path, and
-    attaching one never charges simulated cycles and never mutates
-    task, memory or CPU state.  A provenanced run is bit-identical —
-    cycles, registers, memory, audit hash — to a bare one (the qcheck
-    gate in test_obs).
+    It subscribes to the kernel-event stream like every other
+    observer ([Sim_kernel.Observers.ledger]), under the same
+    contract: attaching one never charges simulated cycles and never
+    mutates task, memory or CPU state.  A provenanced run is
+    bit-identical — cycles, registers, memory, audit hash — to a bare
+    one (the qcheck gate in test_observers).
 
     At every audited application syscall the kernel hands us:
 
@@ -48,15 +47,6 @@ module Ev = Sim_trace.Event
 module Json = Sim_artifact.Json
 open Sim_mem
 
-(** Same path order as [Kmetrics.path_index], so exports line up. *)
-let path_index = function
-  | Ev.Sud_sigsys -> 0
-  | Ev.Fast_path -> 1
-  | Ev.Seccomp_path -> 2
-  | Ev.Ptrace_path -> 3
-  | Ev.Direct -> 4
-
-let npaths = 5
 let path_names = [| "sud_sigsys"; "fast_path"; "seccomp"; "ptrace"; "direct" |]
 
 (** How a site's [syscall] byte pair got replaced with [call rax]. *)
@@ -81,7 +71,7 @@ type rewrite = {
 type site = {
   s_pc : int;
   s_nr : int;
-  s_paths : int array;  (** dispatch count per {!path_index} *)
+  s_paths : int array;  (** dispatch count per {!Ev.path_index} *)
   mutable s_first_seen : int64;
   mutable s_last_seen : int64;
   mutable s_first_ev : int;
@@ -217,7 +207,7 @@ let find_site t ~pc ~nr =
           {
             s_pc = pc;
             s_nr = nr;
-            s_paths = Array.make npaths 0;
+            s_paths = Array.make (List.length Ev.all_paths) 0;
             s_first_seen = -1L;
             s_last_seen = -1L;
             s_first_ev = -1;
@@ -243,7 +233,7 @@ let record t ~mem ~site ~nr ~path ~rbp ~cycles ~now ~ev =
   match find_site t ~pc:site ~nr with
   | None -> ()
   | Some s ->
-      let pi = path_index path in
+      let pi = Ev.path_index path in
       s.s_paths.(pi) <- s.s_paths.(pi) + 1;
       if s.s_first_seen < 0L then s.s_first_seen <- now;
       s.s_last_seen <- now;
@@ -329,6 +319,29 @@ let table ?(limit = 24) t : string =
           (Stats.Log_hist.percentile s.s_kcycles 99.0)
           rw mix
       end)
+    (sites_sorted t);
+  Buffer.contents b
+
+(** One [site] line per call site for /proc/<pid>/interposer:
+    rewritten status (and by what), dispatch count and path mix. *)
+let proc_lines t =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun s ->
+      let rw =
+        match rewrite_of t s.s_pc with
+        | Some r -> rewrite_kind_name r.rw_kind
+        | None -> "-"
+      in
+      let mix =
+        Array.to_list s.s_paths
+        |> List.mapi (fun pi n ->
+               if n = 0 then "" else Printf.sprintf "%s=%d" path_names.(pi) n)
+        |> List.filter (fun x -> x <> "")
+        |> String.concat ","
+      in
+      Printf.bprintf b "site:\t0x%x\tnr=%d\trewritten=%s\tcount=%d\t%s\n"
+        s.s_pc s.s_nr rw (site_count s) mix)
     (sites_sorted t);
   Buffer.contents b
 

@@ -11,8 +11,10 @@
 
     Events are plain data: emitting one never charges simulated
     cycles and never touches task state, so a traced run is
-    cycle-for-cycle identical to an untraced one (asserted by a
-    qcheck property in test_trace). *)
+    cycle-for-cycle identical to an untraced one (asserted by the
+    qcheck property in test_observers).  The kernel's own event type
+    ([Sim_kernel.Types.event]) wraps these kinds and adds what the
+    other observers need. *)
 
 (** How a syscall reached (or was denied) the kernel's dispatcher. *)
 type dispatch_path =
@@ -30,6 +32,14 @@ let path_name = function
   | Direct -> "direct"
 
 let all_paths = [ Sud_sigsys; Fast_path; Seccomp_path; Ptrace_path; Direct ]
+
+(** A path's position in {!all_paths}, for per-path counter arrays. *)
+let path_index = function
+  | Sud_sigsys -> 0
+  | Fast_path -> 1
+  | Seccomp_path -> 2
+  | Ptrace_path -> 3
+  | Direct -> 4
 
 type kind =
   | Syscall_enter of { nr : int; path : dispatch_path }

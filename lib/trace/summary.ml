@@ -114,17 +114,6 @@ let latency_rows (spans_ : span list) : latency_row list =
     buckets []
   |> List.sort (fun a b -> compare (b.lr_count, a.lr_nr) (a.lr_count, b.lr_nr))
 
-(** Latency histogram (cycles) for one syscall number across all
-    paths, via {!Sim_stats.Stats.histogram}. *)
-let latency_histogram ?(bins = 10) (spans_ : span list) ~nr =
-  Stats.histogram ~bins
-    (List.filter_map
-       (fun s ->
-         if s.sp_nr = nr && not s.sp_blocked then
-           Some (Int64.to_float s.sp_dur)
-         else None)
-       spans_)
-
 (** Count of non-span events per kind name (rewrites, flips, ...). *)
 let kind_counts (events : Event.t list) : (string * int) list =
   let tbl = Hashtbl.create 16 in

@@ -1,9 +1,10 @@
 (** The machine-wide tracer handle: per-CPU bounded rings plus a
     global sequence counter.
 
-    The kernel holds a [Tracer.t option]; every emit site guards on
-    it, so a disabled tracer costs one pointer comparison and no
-    allocation.  Emitting never charges simulated cycles and never
+    It subscribes to the kernel-event stream
+    ([Sim_kernel.Observers.tracer]); with no observer attached every
+    emit site costs one comparison and no allocation.  Emitting never
+    charges simulated cycles and never
     mutates task, memory or CPU state — tracing is observation only,
     and the simulated machine is bit-identical with it on or off. *)
 

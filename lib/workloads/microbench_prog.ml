@@ -61,45 +61,28 @@ let bench_items ~iters ~nr =
     by test_icache).  [blocks] likewise selects the threaded-code
     block engine on top of the icache (default: on unless
     [SIM_NO_BLOCKS] is set); also host-side only and bit-identical,
-    asserted by the engine-identity properties in test_icache.  [tracer] attaches a machine-wide event tracer to
-    the run; tracing is observation-only, so the returned
-    cycles-per-iteration is identical with or without it (asserted by
-    a qcheck property in test_trace).  [metrics] and [profiler] attach
-    the corresponding observers under the same contract (asserted in
-    test_metrics).  [chaos] attaches a chaos engine; with zero rates
-    it must also leave the cycle count bit-identical (the chaos-off
-    identity gate in bench/main.ml and test_chaos). *)
+    asserted by the engine-identity properties in test_icache.
+    [observers] subscribe to the run (see {!Sim_kernel.Observers}) and
+    are told the image's symbols; observation is free, so the returned
+    cycles-per-iteration is identical with or without them (asserted by
+    the qcheck property in test_observers).  [chaos] attaches a chaos
+    engine; with zero rates it must also leave the cycle count
+    bit-identical (the chaos-off identity gate in bench/main.ml and
+    test_chaos). *)
 let run ?(iters = 20_000) ?(nr = 500) ?(icache = true) ?blocks
-    ?(tracer : Sim_trace.Tracer.t option)
-    ?(metrics : Kmetrics.t option)
-    ?(profiler : Sim_metrics.Profiler.t option)
-    ?(auditor : Sim_audit.Audit.t option)
-    ?(chaos : Sim_chaos.Chaos.t option)
+    ?(observers = []) ?(chaos : Sim_chaos.Chaos.t option)
     ?(policy : Sim_policy.Policy.t option)
     ?(on_done : Types.kernel -> Types.task -> unit = fun _ _ -> ())
     (config : config) : float =
   let k = Kernel.create ~icache ?blocks () in
-  k.Types.tracer <- tracer;
-  (match metrics with Some m -> Kernel.attach_metrics k m | None -> ());
-  (match auditor with Some a -> Kernel.attach_audit k a | None -> ());
+  List.iter (Kernel.observe k) observers;
   (match chaos with Some ch -> Kernel.attach_chaos k ch | None -> ());
   (match policy with Some p -> Kernel.attach_policy k p | None -> ());
-  (match profiler with
-  | Some p ->
-      k.Types.profiler <- Some p;
-      Sim_metrics.Profiler.add_region p ~lo:0 ~hi:Sim_mem.Mem.page_size
-        ~name:"zpoline-trampoline";
-      Sim_metrics.Profiler.add_region p ~lo:Lazypoline.Layout.interp_code_base
-        ~hi:(Lazypoline.Layout.interp_code_base + 0x10000)
-        ~name:"interposer"
-  | None -> ());
   let blob =
     Sim_asm.Asm.assemble ~base:Loader.code_base (bench_items ~iters ~nr)
   in
   let img = Loader.image ~entry:(Sim_asm.Asm.symbol blob "start") ~text:blob () in
-  (match profiler with
-  | Some p -> Sim_metrics.Profiler.add_symbols p img.Types.img_symbols
-  | None -> ());
+  if observers <> [] then Types.emit k (Types.Symbols img.Types.img_symbols);
   let t = Kernel.spawn k img in
   let site = Sim_asm.Asm.symbol blob "site" in
   let hook = Hook.dummy () in

@@ -12,10 +12,10 @@
     Every request carries a generator-assigned id: issue and
     completion cycle timestamps are recorded per request (the
     latency sample the tail tables are built from), and when the
-    kernel has a span recorder attached the id is stamped on the
-    connection at issue time so the kernel can attribute the
-    request's whole lifetime to causal phases
-    ({!Sim_obs.Obs.note_issue} / [claim] / [complete]). *)
+    kernel has observers the issue, completion and abandonment are
+    events on its stream ({!Types.Req_issue} and friends), so a span
+    recorder can attribute the request's whole lifetime to causal
+    phases. *)
 
 open Sim_kernel
 
@@ -84,11 +84,6 @@ let attach ?(max_requests = 0) (k : Types.kernel) ~port ~conns ~file
       latencies = [];
     }
   in
-  let app_ev () =
-    match k.Types.auditor with
-    | Some a -> Sim_audit.Audit.app_count a
-    | None -> -1
-  in
   let step () =
     let now = Types.global_time k in
     List.iter
@@ -102,9 +97,8 @@ let attach ?(max_requests = 0) (k : Types.kernel) ~port ~conns ~file
           | `Eof ->
               if c.in_flight then begin
                 g.errors <- g.errors + 1;
-                (match k.Types.obs with
-                | Some o when c.rid >= 0 -> Sim_obs.Obs.abandon o ~rid:c.rid
-                | _ -> ())
+                if c.rid >= 0 && k.Types.observers <> [] then
+                  Types.emit k (Types.Req_abandon c.rid)
               end;
               c.in_flight <- false;
               c.rid <- -1;
@@ -116,10 +110,8 @@ let attach ?(max_requests = 0) (k : Types.kernel) ~port ~conns ~file
         if c.in_flight && c.to_recv <= 0 then begin
           g.completed <- g.completed + 1;
           g.latencies <- (c.rid, c.issued_at, now) :: g.latencies;
-          (match k.Types.obs with
-          | Some o ->
-              Sim_obs.Obs.complete o ~rid:c.rid ~ts:now ~ev_hi:(app_ev ())
-          | None -> ());
+          if k.Types.observers <> [] then
+            Types.emit k (Types.Req_complete { rid = c.rid; ts = now });
           c.in_flight <- false;
           c.rid <- -1;
           c.send_pos <- 0
@@ -138,11 +130,9 @@ let attach ?(max_requests = 0) (k : Types.kernel) ~port ~conns ~file
             c.rid <- g.next_rid;
             g.next_rid <- g.next_rid + 1;
             c.issued_at <- now;
-            match k.Types.obs with
-            | Some o ->
-                Sim_obs.Obs.note_issue o ~rid:c.rid ~conn:(conn_token c)
-                  ~ts:now
-            | None -> ()
+            if k.Types.observers <> [] then
+              Types.emit k
+                (Types.Req_issue { rid = c.rid; conn = conn_token c; ts = now })
           end;
           let remaining = String.length g.request - c.send_pos in
           match Net.send c.ep g.request c.send_pos remaining with
@@ -154,9 +144,8 @@ let attach ?(max_requests = 0) (k : Types.kernel) ~port ~conns ~file
               end
           | Error `Pipe ->
               g.errors <- g.errors + 1;
-              (match k.Types.obs with
-              | Some o when c.rid >= 0 -> Sim_obs.Obs.abandon o ~rid:c.rid
-              | _ -> ());
+              if c.rid >= 0 && k.Types.observers <> [] then
+                  Types.emit k (Types.Req_abandon c.rid);
               c.rid <- -1;
               c.dead <- true;
               c.send_pos <- 0

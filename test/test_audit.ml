@@ -38,7 +38,7 @@ let record_micro ?(iters = 120) ?(nr = 500) config =
   let a = A.create ~checkpoint_every:16 () in
   let final = ref 0L in
   let cycles =
-    Micro.run ~iters ~nr ~auditor:a
+    Micro.run ~iters ~nr ~observers:[ Observers.auditor a ]
       ~on_done:(fun k _t -> final := Kernel.audit_final_hash k a)
       config
   in
@@ -100,7 +100,7 @@ let test_replay_forkexec () =
 
 let test_stream_shape () =
   let a = A.create ~checkpoint_every:16 () in
-  ignore (Micro.run ~iters:50 ~auditor:a Micro.Native);
+  ignore (Micro.run ~iters:50 ~observers:[ Observers.auditor a ] Micro.Native);
   (* 50 loop syscalls + exit_group, all App scope *)
   let app = A.app_stream_of_tid a 1 in
   Alcotest.(check int) "app events" 51 (Array.length app);
@@ -122,9 +122,9 @@ let test_mech_events_classified () =
      stub re-issue and a sigreturn; the App stream must still equal
      the raw one *)
   let raw = A.create () in
-  ignore (Micro.run ~iters:40 ~auditor:raw Micro.Native);
+  ignore (Micro.run ~iters:40 ~observers:[ Observers.auditor raw ] Micro.Native);
   let sud = A.create () in
-  ignore (Micro.run ~iters:40 ~auditor:sud Micro.Sud);
+  ignore (Micro.run ~iters:40 ~observers:[ Observers.auditor sud ] Micro.Sud);
   let mech_events =
     List.filter (fun (e : A.entry) -> e.A.scope = A.Mech) (A.entries sud)
   in
@@ -209,7 +209,9 @@ let test_audit_observation_only () =
     (fun config ->
       let bare = Micro.run ~iters:80 config in
       let a = A.create () in
-      let audited = Micro.run ~iters:80 ~auditor:a config in
+      let audited =
+        Micro.run ~iters:80 ~observers:[ Observers.auditor a ] config
+      in
       Alcotest.(check (float 0.0))
         (Micro.config_name config ^ ": cycles identical")
         bare audited)

@@ -68,7 +68,10 @@ let test_provenance_json () =
      long f1() { return f2(); }\n\
      long main() { long i = 0; while (i < 6) { f1(); i = i + 1; } return 0; }\n"
   in
-  let _ = D.run_audited ~prov:p D.Lazypoline_m (D.Prog { src; jit = false }) in
+  let _ =
+    D.run_audited ~observers:[ Sim_kernel.Observers.ledger p ] D.Lazypoline_m
+      (D.Prog { src; jit = false })
+  in
   let doc = T.parse_json (P.to_json p) in
   let hot =
     match field "sites" doc with

@@ -308,7 +308,7 @@ let test_multi_cpu_affinity () =
   Alcotest.(check bool)
     (Printf.sprintf "parallel progress (%d vs %d)" c0 c1)
     true
-    (abs (c0 - c1) < 2 * Int64.to_int k.Types.slice)
+    (abs (c0 - c1) < 2 * Types.quantum)
 
 let tests =
   [

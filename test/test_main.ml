@@ -30,6 +30,7 @@ let () =
       ("chaos", Test_chaos.tests);
       ("debug", Test_debug.tests);
       ("obs", Test_obs.tests);
+      ("observers", Test_observers.tests);
       ("policy", Test_policy.tests);
       ("alloc", Test_alloc.tests);
       ("json", Test_json.tests);

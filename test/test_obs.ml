@@ -153,7 +153,8 @@ let wrk ~conns ~requests =
 let test_wrk_attribution () =
   let o = Obs.create ~ncpus:1 () in
   let _a, k, _t =
-    D.run_audited ~obs:o D.Lazypoline_m (wrk ~conns:4 ~requests:120)
+    D.run_audited ~observers:[ D.spans o ] D.Lazypoline_m
+      (wrk ~conns:4 ~requests:120)
   in
   Alcotest.(check int) "every request issued" 120 (Obs.issued o);
   Alcotest.(check int) "every request completed" 120 (Obs.completed_count o);
@@ -193,49 +194,13 @@ let test_wrk_attribution () =
 
 (* --- observation-only: the recorder never changes the run ---------- *)
 
-let prog_src iters =
-  Printf.sprintf
-    {|
-long main() {
-  long i = 0;
-  long acc = 0;
-  while (i < %d) {
-    acc = acc + syscall(39);
-    syscall(1, 1, "x", 1);
-    i = i + 1;
-  }
-  return acc & 7;
-}
-|}
-    iters
-
 (* The audit log string embeds the serialized app stream, the periodic
    checkpoint state hashes (registers + memory) and the final state
    hash, so string equality is machine-state equality. *)
-let fingerprint ?obs ?prov mech workload =
-  let a, k, _t = D.run_audited ?obs ?prov mech workload in
+let fingerprint ?(observers = []) mech workload =
+  let a, k, _t = D.run_audited ~observers mech workload in
   ( D.log_string ~final_hash:(Kernel.audit_final_hash k a) a,
     Types.global_time k )
-
-let prop_spans_observation_only =
-  QCheck.Test.make ~count:12
-    ~name:"span recorder never changes a run (six mechanisms, ±jit)"
-    (QCheck.make
-       ~print:(fun (mi, jit, iters) ->
-         Printf.sprintf "%s jit=%b iters=%d"
-           (D.mech_name (List.nth D.all_mechs mi))
-           jit iters)
-       QCheck.Gen.(
-         triple (int_range 0 (List.length D.all_mechs - 1)) bool
-           (int_range 3 20)))
-    (fun (mi, jit, iters) ->
-      let mech = List.nth D.all_mechs mi in
-      let workload = D.Prog { src = prog_src iters; jit } in
-      let log_off, cycles_off = fingerprint mech workload in
-      let log_on, cycles_on =
-        fingerprint ~obs:(Obs.create ~ncpus:1 ()) mech workload
-      in
-      log_on = log_off && cycles_on = cycles_off)
 
 (* --- syscall provenance: call-site ledger + unwinder --------------- *)
 
@@ -258,7 +223,8 @@ long main() {
 let run_prov ?prov mech =
   let p = match prov with Some p -> p | None -> P.create () in
   let _a, _k, _t =
-    D.run_audited ~prov:p mech (D.Prog { src = callgraph_src; jit = false })
+    D.run_audited ~observers:[ Observers.ledger p ] mech
+      (D.Prog { src = callgraph_src; jit = false })
   in
   p
 
@@ -364,31 +330,15 @@ let test_sidecar_site_roundtrip () =
       Alcotest.(check int) "v1 site unknown" (-1) row.Obs.x_site
   | rows -> Alcotest.failf "expected one v1 row, got %d" (List.length rows)
 
-let prop_prov_observation_only =
-  QCheck.Test.make ~count:12
-    ~name:"provenance ledger never changes a run (six mechanisms, ±jit)"
-    (QCheck.make
-       ~print:(fun (mi, jit, iters) ->
-         Printf.sprintf "%s jit=%b iters=%d"
-           (D.mech_name (List.nth D.all_mechs mi))
-           jit iters)
-       QCheck.Gen.(
-         triple (int_range 0 (List.length D.all_mechs - 1)) bool
-           (int_range 3 20)))
-    (fun (mi, jit, iters) ->
-      let mech = List.nth D.all_mechs mi in
-      let workload = D.Prog { src = prog_src iters; jit } in
-      let log_off, cycles_off = fingerprint mech workload in
-      let log_on, cycles_on = fingerprint ~prov:(P.create ()) mech workload in
-      log_on = log_off && cycles_on = cycles_off)
-
 let test_spans_off_identity_wrk () =
   (* Same property on the macrobench path (wrk + webserver + epoll),
      one mechanism; the bench sweeps all six at scale. *)
   let workload = wrk ~conns:2 ~requests:60 in
   let log_off, cycles_off = fingerprint D.Zpoline workload in
   let log_on, cycles_on =
-    fingerprint ~obs:(Obs.create ~ncpus:1 ()) D.Zpoline workload
+    fingerprint
+      ~observers:[ D.spans (Obs.create ~ncpus:1 ()) ]
+      D.Zpoline workload
   in
   Alcotest.(check int64) "cycles identical" cycles_off cycles_on;
   Alcotest.(check string) "audit log identical" log_off log_on
@@ -405,7 +355,6 @@ let tests =
     Alcotest.test_case "sidecar round-trip" `Quick test_sidecar_roundtrip;
     Alcotest.test_case "wrk run: full attribution" `Quick
       test_wrk_attribution;
-    QCheck_alcotest.to_alcotest prop_spans_observation_only;
     Alcotest.test_case "wrk run: recorder off-identity" `Quick
       test_spans_off_identity_wrk;
     Alcotest.test_case "provenance: lazypoline per-site ledger" `Quick
@@ -416,5 +365,4 @@ let tests =
       test_prov_zpoline_sweep;
     Alcotest.test_case "sidecar /2: hottest-site round-trip" `Quick
       test_sidecar_site_roundtrip;
-    QCheck_alcotest.to_alcotest prop_prov_observation_only;
   ]

@@ -105,7 +105,8 @@ let test_maps_exact () =
 
 let test_interposer_and_metrics_nodes () =
   let k = Kernel.create () in
-  let m = Kernel.enable_metrics k in
+  let m = Kmetrics.create () in
+  Kernel.attach_metrics k m;
   let t = spawn_prog k src_trivial in
   ignore (Lazypoline.install k t (Lazypoline.Hook.dummy ()));
   Alcotest.(check bool) "terminated" true (Kernel.run_until_exit k);
@@ -174,7 +175,7 @@ let fast_path_of snapshot =
 
 let test_guest_sees_fast_path_grow () =
   let k = Kernel.create () in
-  ignore (Kernel.enable_metrics k);
+  Kernel.attach_metrics k (Kmetrics.create ());
   let t = spawn_prog k guest_src in
   ignore (Lazypoline.install k t (Lazypoline.Hook.dummy ()));
   Buffer.clear Kernel.console;
@@ -249,11 +250,11 @@ let test_observation_integrity_probes () =
      must expose the drop counters, and all of them must read zero:
      a lossy observer means the attribution cannot be trusted. *)
   let k = Kernel.create () in
-  ignore (Kernel.enable_metrics k);
+  Kernel.attach_metrics k (Kmetrics.create ());
   let tr = Sim_trace.Tracer.create ~ncpus:1 () in
-  k.Types.tracer <- Some tr;
+  Kernel.observe k (Observers.tracer tr);
   let o = Sim_obs.Obs.create ~ncpus:1 () in
-  Kernel.attach_obs k o;
+  Kernel.observe k (Observers.spans o);
   let file = "/www/f" in
   let requests = 200 in
   let t =
@@ -294,7 +295,7 @@ let test_integrity_probes_detached () =
   (* Without observers the probes still exist and read zero (scrape
      thunks close over the kernel, not over an instance). *)
   let k = Kernel.create () in
-  ignore (Kernel.enable_metrics k);
+  Kernel.attach_metrics k (Kmetrics.create ());
   ignore (spawn_prog k src_trivial);
   Alcotest.(check bool) "terminated" true (Kernel.run_until_exit k);
   let p = read_proc k "/proc/metrics" in

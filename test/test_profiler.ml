@@ -63,7 +63,13 @@ let test_context_priority () =
 
 let profiled_run config =
   let p = Profiler.create ~period:101 () in
-  ignore (Micro.run ~iters:500 ~profiler:p config);
+  List.iter
+    (fun (lo, hi, name) -> Profiler.add_region p ~lo ~hi ~name)
+    Lazypoline.Layout.interposer_windows;
+  ignore
+    (Micro.run ~iters:500
+       ~observers:[ Sim_kernel.Observers.profiler p ]
+       config);
   p
 
 let test_samples_collected () =

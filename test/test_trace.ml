@@ -58,7 +58,7 @@ long main() {
 let lazy_run ?(trace = true) src =
   let k = Kernel.create () in
   let tr = if trace then Some (Tracer.create ~ncpus:1 ()) else None in
-  k.Types.tracer <- tr;
+  Option.iter (fun tr -> Kernel.observe k (Observers.tracer tr)) tr;
   let t = Kernel.spawn k (Minicc.Codegen.compile_to_image src) in
   ignore (Lazypoline.install k t (Hook.dummy ()));
   if not (Kernel.run_until_exit k) then failwith "program did not terminate";
@@ -139,7 +139,7 @@ let test_slow_then_fast () =
 let test_zpoline_sweep_event () =
   let k = Kernel.create () in
   let tr = Tracer.create ~ncpus:1 () in
-  k.Types.tracer <- Some tr;
+  Kernel.observe k (Observers.tracer tr);
   let t = Kernel.spawn k (Minicc.Codegen.compile_to_image prog_loop) in
   ignore (Baselines.Zpoline.install k t (Hook.dummy ()));
   if not (Kernel.run_until_exit k) then failwith "did not terminate";
@@ -170,24 +170,6 @@ let test_trace_is_observation_only () =
   Alcotest.(check bool)
     "final task state is bit-identical" true
     (machine_state t_plain = machine_state t_traced)
-
-let prop_tracing_never_changes_cycles =
-  let configs =
-    Workloads.Microbench_prog.
-      [
-        Native; Native_sud_allow; Zpoline; Lazypoline_full;
-        Lazypoline_noxstate; Sud; Seccomp_bpf;
-      ]
-  in
-  QCheck.Test.make ~count:12
-    ~name:"tracing never changes simulated cycles (any mechanism)"
-    QCheck.(pair (int_range 5 60) (int_range 0 (List.length configs - 1)))
-    (fun (iters, ci) ->
-      let config = List.nth configs ci in
-      let plain = Workloads.Microbench_prog.run ~iters config in
-      let tr = Tracer.create ~ncpus:1 () in
-      let traced = Workloads.Microbench_prog.run ~iters ~tracer:tr config in
-      plain = traced)
 
 (* --- Chrome trace-event JSON shape --------------------------------- *)
 
@@ -414,7 +396,7 @@ let test_request_tracks_shape () =
   let module D = Harness.Divergence in
   let o = Obs.create ~ncpus:1 () in
   let _a, _k, _t =
-    D.run_audited ~obs:o D.Lazypoline_m
+    D.run_audited ~observers:[ D.spans o ] D.Lazypoline_m
       (D.Wrk
          {
            flavour = Workloads.Webserver.Nginx_like;
@@ -513,7 +495,6 @@ let tests =
     Alcotest.test_case "zpoline: sweep event" `Quick test_zpoline_sweep_event;
     Alcotest.test_case "tracing is observation-only" `Quick
       test_trace_is_observation_only;
-    QCheck_alcotest.to_alcotest prop_tracing_never_changes_cycles;
     Alcotest.test_case "chrome JSON shape" `Quick test_chrome_json_shape;
     Alcotest.test_case "perfetto request tracks shape" `Quick
       test_request_tracks_shape;
