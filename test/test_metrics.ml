@@ -1,9 +1,9 @@
 (** The metrics registry: unit tests for [Sim_metrics.Metrics], the
     kernel wiring through [Kmetrics], and the observation-only
     contract — a run with metrics and the sampling profiler attached
-    is state-identical to an unobserved run (a full register/memory
-    comparison on a compiled C program; the cycle identity over every
-    configuration is test_observers' property). *)
+    is cycle- and state-identical to an unobserved run (qcheck
+    property over the microbenchmark configurations, plus a full
+    register/memory comparison on a compiled C program). *)
 
 open Sim_kernel
 module M = Sim_metrics.Metrics
@@ -161,6 +161,38 @@ let test_sweep_metrics () =
   Alcotest.(check bool) "bytes scanned" true
     (v "sim_rewrite_sweep_bytes_total" > 0)
 
+(* --- observation-only: cycle identity over the microbench ---------- *)
+
+let micro_configs =
+  Workloads.Microbench_prog.
+    [
+      Native; Native_sud_allow; Zpoline; Lazypoline_full; Lazypoline_noxstate;
+      Lazypoline_nosud; Lazypoline_protected; Sud; Seccomp_user; Seccomp_bpf;
+      Ptrace;
+    ]
+
+let prop_observers_cycle_identical =
+  QCheck.Test.make ~count:(List.length micro_configs)
+    ~name:"metrics+profiler attached: cycles identical to unobserved run"
+    (QCheck.make
+       ~print:(fun i ->
+         Workloads.Microbench_prog.config_name
+           (List.nth micro_configs (i mod List.length micro_configs)))
+       QCheck.Gen.(int_range 0 (List.length micro_configs - 1)))
+    (fun i ->
+      let config = List.nth micro_configs i in
+      let plain = Workloads.Microbench_prog.run ~iters:300 config in
+      let observers =
+        [
+          Observers.metrics (Kmetrics.create ());
+          Observers.profiler (Profiler.create ~period:13 ());
+        ]
+      in
+      let observed =
+        Workloads.Microbench_prog.run ~iters:300 ~observers config
+      in
+      plain = observed)
+
 (* --- observation-only: full state identity on a C program ---------- *)
 
 let final_state src ~observe =
@@ -255,6 +287,7 @@ let tests =
       test_kernel_dispatch_split;
     Alcotest.test_case "kernel: zpoline sweep counters" `Quick
       test_sweep_metrics;
+    QCheck_alcotest.to_alcotest prop_observers_cycle_identical;
     Alcotest.test_case "observers: full state identity" `Quick
       test_state_identity;
     Alcotest.test_case "kernel: icache probes count from attach" `Quick

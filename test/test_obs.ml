@@ -194,6 +194,22 @@ let test_wrk_attribution () =
 
 (* --- observation-only: the recorder never changes the run ---------- *)
 
+let prog_src iters =
+  Printf.sprintf
+    {|
+long main() {
+  long i = 0;
+  long acc = 0;
+  while (i < %d) {
+    acc = acc + syscall(39);
+    syscall(1, 1, "x", 1);
+    i = i + 1;
+  }
+  return acc & 7;
+}
+|}
+    iters
+
 (* The audit log string embeds the serialized app stream, the periodic
    checkpoint state hashes (registers + memory) and the final state
    hash, so string equality is machine-state equality. *)
@@ -201,6 +217,26 @@ let fingerprint ?(observers = []) mech workload =
   let a, k, _t = D.run_audited ~observers mech workload in
   ( D.log_string ~final_hash:(Kernel.audit_final_hash k a) a,
     Types.global_time k )
+
+let prop_spans_observation_only =
+  QCheck.Test.make ~count:12
+    ~name:"span recorder never changes a run (six mechanisms, ±jit)"
+    (QCheck.make
+       ~print:(fun (mi, jit, iters) ->
+         Printf.sprintf "%s jit=%b iters=%d"
+           (D.mech_name (List.nth D.all_mechs mi))
+           jit iters)
+       QCheck.Gen.(
+         triple (int_range 0 (List.length D.all_mechs - 1)) bool
+           (int_range 3 20)))
+    (fun (mi, jit, iters) ->
+      let mech = List.nth D.all_mechs mi in
+      let workload = D.Prog { src = prog_src iters; jit } in
+      let log_off, cycles_off = fingerprint mech workload in
+      let log_on, cycles_on =
+        fingerprint ~observers:[ D.spans (Obs.create ~ncpus:1 ()) ] mech workload
+      in
+      log_on = log_off && cycles_on = cycles_off)
 
 (* --- syscall provenance: call-site ledger + unwinder --------------- *)
 
@@ -330,6 +366,26 @@ let test_sidecar_site_roundtrip () =
       Alcotest.(check int) "v1 site unknown" (-1) row.Obs.x_site
   | rows -> Alcotest.failf "expected one v1 row, got %d" (List.length rows)
 
+let prop_prov_observation_only =
+  QCheck.Test.make ~count:12
+    ~name:"provenance ledger never changes a run (six mechanisms, ±jit)"
+    (QCheck.make
+       ~print:(fun (mi, jit, iters) ->
+         Printf.sprintf "%s jit=%b iters=%d"
+           (D.mech_name (List.nth D.all_mechs mi))
+           jit iters)
+       QCheck.Gen.(
+         triple (int_range 0 (List.length D.all_mechs - 1)) bool
+           (int_range 3 20)))
+    (fun (mi, jit, iters) ->
+      let mech = List.nth D.all_mechs mi in
+      let workload = D.Prog { src = prog_src iters; jit } in
+      let log_off, cycles_off = fingerprint mech workload in
+      let log_on, cycles_on =
+        fingerprint ~observers:[ Observers.ledger (P.create ()) ] mech workload
+      in
+      log_on = log_off && cycles_on = cycles_off)
+
 let test_spans_off_identity_wrk () =
   (* Same property on the macrobench path (wrk + webserver + epoll),
      one mechanism; the bench sweeps all six at scale. *)
@@ -355,6 +411,7 @@ let tests =
     Alcotest.test_case "sidecar round-trip" `Quick test_sidecar_roundtrip;
     Alcotest.test_case "wrk run: full attribution" `Quick
       test_wrk_attribution;
+    QCheck_alcotest.to_alcotest prop_spans_observation_only;
     Alcotest.test_case "wrk run: recorder off-identity" `Quick
       test_spans_off_identity_wrk;
     Alcotest.test_case "provenance: lazypoline per-site ledger" `Quick
@@ -365,4 +422,5 @@ let tests =
       test_prov_zpoline_sweep;
     Alcotest.test_case "sidecar /2: hottest-site round-trip" `Quick
       test_sidecar_site_roundtrip;
+    QCheck_alcotest.to_alcotest prop_prov_observation_only;
   ]

@@ -171,6 +171,27 @@ let test_trace_is_observation_only () =
     "final task state is bit-identical" true
     (machine_state t_plain = machine_state t_traced)
 
+let prop_tracing_never_changes_cycles =
+  let configs =
+    Workloads.Microbench_prog.
+      [
+        Native; Native_sud_allow; Zpoline; Lazypoline_full;
+        Lazypoline_noxstate; Sud; Seccomp_bpf;
+      ]
+  in
+  QCheck.Test.make ~count:12
+    ~name:"tracing never changes simulated cycles (any mechanism)"
+    QCheck.(pair (int_range 5 60) (int_range 0 (List.length configs - 1)))
+    (fun (iters, ci) ->
+      let config = List.nth configs ci in
+      let plain = Workloads.Microbench_prog.run ~iters config in
+      let tr = Tracer.create ~ncpus:1 () in
+      let traced =
+        Workloads.Microbench_prog.run ~iters
+          ~observers:[ Observers.tracer tr ] config
+      in
+      plain = traced)
+
 (* --- Chrome trace-event JSON shape --------------------------------- *)
 
 (* A minimal JSON parser — just enough to assert the exporter's output
@@ -495,6 +516,7 @@ let tests =
     Alcotest.test_case "zpoline: sweep event" `Quick test_zpoline_sweep_event;
     Alcotest.test_case "tracing is observation-only" `Quick
       test_trace_is_observation_only;
+    QCheck_alcotest.to_alcotest prop_tracing_never_changes_cycles;
     Alcotest.test_case "chrome JSON shape" `Quick test_chrome_json_shape;
     Alcotest.test_case "perfetto request tracks shape" `Quick
       test_request_tracks_shape;
