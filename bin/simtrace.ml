@@ -218,10 +218,15 @@ let print_phase_summary (o : Sim_obs.Obs.t) (k : Types.kernel) =
   Printf.eprintf "  %-12s %14Ld\n" "total" total
 
 let run_cmd file mech jit preserve_xstate summary no_blocks =
-  let tr = Sim_trace.Tracer.create ~ncpus:1 () in
-  let o = Sim_obs.Obs.create ~ncpus:1 () in
+  let tools =
+    if summary then
+      Some (Sim_trace.Tracer.create ~ncpus:1 (), Sim_obs.Obs.create ~ncpus:1 ())
+    else None
+  in
   let observers =
-    if summary then [ Observers.tracer tr; Divergence.spans o ] else []
+    match tools with
+    | Some (tr, o) -> [ Observers.tracer tr; Divergence.spans o ]
+    | None -> []
   in
   let block_before = Sim_cpu.Icache.block_totals () in
   let retired_before = !Sim_cpu.Ctx.retired in
@@ -230,11 +235,12 @@ let run_cmd file mech jit preserve_xstate summary no_blocks =
   List.iter (fun l -> Printf.eprintf "%s\n" l) (List.rev !log);
   Printf.eprintf "+++ exited with %d (%Ld cycles) +++\n" t.Types.exit_code
     t.Types.tcycles;
-  if summary then begin
-    print_summary tr;
-    print_block_summary ~before:block_before ~retired_before;
-    print_phase_summary o k
-  end;
+  Option.iter
+    (fun (tr, o) ->
+      print_summary tr;
+      print_block_summary ~before:block_before ~retired_before;
+      print_phase_summary o k)
+    tools;
   if t.Types.exit_code <> 0 then exit t.Types.exit_code
 
 let trace_cmd file mech jit preserve_xstate out no_blocks =
@@ -567,7 +573,8 @@ let spans_cmd mech flavour size_kb conns requests out record_out no_blocks =
   let dmech = dmech_of_mech mech in
   let blocks = if no_blocks then Some false else None in
   let o = Sim_obs.Obs.create ~ncpus:1 () in
-  (* the provenance ledger feeds each exemplar's hottest call site *)
+  (* the provenance ledger supplies the symbol names of the exemplars'
+     call sites *)
   let p = Sim_obs.Provenance.create () in
   let workload = Divergence.Wrk { flavour; size_kb; conns; requests } in
   let a, k, _t =

@@ -743,16 +743,12 @@ let info s : string =
 (** Record [workload] under [mech] and render the full versioned log —
     header, rows, final state hash — exactly as [simtrace record]
     writes it. *)
-let record ?(checkpoint_every = 64) ?blocks ?observers ?(header = []) mech
-    workload : string =
-  let a, k, _ =
-    D.run_audited ~checkpoint_every ?blocks ?observers mech workload
-  in
+let record ?(checkpoint_every = 64) mech workload : string =
+  let a, k, _ = D.run_audited ~checkpoint_every mech workload in
   let fh = Kernel.audit_final_hash k a in
   let buf = Buffer.create 4096 in
   let module Art = Sim_artifact.Artifact in
   Art.add_magic buf ~kind:audit_artifact_kind ~version:audit_artifact_version;
-  List.iter (fun (key, v) -> Art.add_header buf key v) header;
   Art.add_header buf "mech" (D.mech_name mech);
   Art.add_header buf "checkpoint-every" (string_of_int checkpoint_every);
   Buffer.add_string buf (D.log_string ~final_hash:fh a);

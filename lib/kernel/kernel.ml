@@ -50,6 +50,7 @@ let create ?(ncpus = 1) ?(cost = Sim_costs.Cost_model.default)
       slice_end = quantum;
       strace = None;
       observers = [];
+      tickers = [];
       metrics = None;
       in_kernel = 0;
       cur_nr = -1;

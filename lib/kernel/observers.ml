@@ -15,7 +15,7 @@ module Obs = Sim_obs.Obs
 module Prov = Sim_obs.Provenance
 module Profiler = Sim_metrics.Profiler
 
-let subscriber ?(on_tick = fun _ _ _ -> ()) ?(per_insn = false)
+let subscriber ?on_tick ?(per_insn = false)
     ?(probes = fun _ -> []) ?(proc = fun _ -> "") on_event =
   { on_event; on_tick; per_insn; probes; proc }
 
@@ -23,11 +23,12 @@ let register_probes (m : Kmetrics.t) =
   List.iter (fun (name, help, read) ->
       Sim_metrics.Metrics.probe m.Kmetrics.registry ~help name read)
 
-(** Subscribe [o] to [k]'s event stream: the subscribers already there
-    see {!Types.Subscribed}, [o] itself {!Types.Attached} first. *)
+(** Subscribe [o] to [k]'s event stream: its probes join an attached
+    metrics registry, and [o] sees {!Types.Attached} first. *)
 let observe (k : kernel) (o : observer) =
-  if k.observers <> [] then emit k (Subscribed o);
   k.observers <- k.observers @ [ o ];
+  Option.iter (fun f -> k.tickers <- k.tickers @ [ f ]) o.on_tick;
+  Option.iter (fun m -> register_probes m (o.probes k)) k.metrics;
   o.on_event k Attached
 
 (** The PC of the [syscall] (or rewritten [call rax]) an application
@@ -230,7 +231,6 @@ let metrics (m : Kmetrics.t) =
   in
   subscriber (fun k -> function
     | Attached -> attach k
-    | Subscribed o -> register_probes m (o.probes k)
     | Trace (Ev.Context_switch _) -> incr m.ctx_switches
     | Trace (Ev.Selector_flip _) -> incr m.selector_flips
     | Trace (Ev.Sweep { sites; bytes_scanned }) ->

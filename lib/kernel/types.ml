@@ -214,6 +214,9 @@ type kernel = {
       (** observation-only subscribers, in attach order (DESIGN.md
           §17).  [[]] (the default) is the zero-cost path: every emit
           site guards on it before building an event *)
+  mutable tickers : (kernel -> int -> int -> unit) list;
+      (** the [on_tick] callbacks of [observers], in attach order:
+          {!charge} walks only these *)
   mutable metrics : Kmetrics.t option;
       (** the attached metrics registry, kept as a read handle for
           /proc/metrics; its counting runs through its subscriber *)
@@ -256,7 +259,7 @@ type kernel = {
     observers attached is cycle- and state-identical to a bare one. *)
 and observer = {
   on_event : kernel -> event -> unit;
-  on_tick : kernel -> int -> int -> unit;
+  on_tick : (kernel -> int -> int -> unit) option;
       (** every {!charge}: the CPU clock before it and the cycles
           charged.  Kept out of [event] because it fires per
           instruction and must not allocate *)
@@ -276,8 +279,6 @@ and event =
   | Attached
       (** delivered once, to the subscriber being attached, before any
           other event *)
-  | Subscribed of observer
-      (** another subscriber was attached after this one *)
   | Trace of Sim_trace.Event.kind
       (** a tracer event the kernel has nothing to add to, stamped at
           the current CPU's clock *)
@@ -364,8 +365,8 @@ let finish k ev =
 
 let rec tick k start n = function
   | [] -> ()
-  | o :: rest ->
-      o.on_tick k start n;
+  | f :: rest ->
+      f k start n;
       tick k start n rest
 
 let charge (k : kernel) n =
@@ -375,7 +376,7 @@ let charge (k : kernel) n =
   (match k.cur_task with
   | Some _ -> k.cur_cycles <- k.cur_cycles + n
   | None -> ());
-  if k.observers <> [] then tick k start n k.observers
+  if k.tickers <> [] then tick k start n k.tickers
 
 (** Is any observer or the policy engine attached?  Dispatch-path
     staging sites guard on this: the tag exists purely for
